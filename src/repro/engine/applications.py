@@ -79,7 +79,6 @@ from repro.engine.fleet import FleetSimulator
 from repro.engine.messages import _MessageKernel, _resolve_backend
 from repro.engine.rules import FeedbackRule
 from repro.engine.simulator import DEFAULT_MAX_ROUNDS
-from repro.engine.sparse import build_csr
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis
 from repro.telemetry import probes
@@ -102,13 +101,7 @@ def line_graph_arrays(
     one line-graph edge, enumerated by repeating each group element once
     per earlier element — no per-vertex Python loop.
     """
-    columns, starts, _ = build_csr(graph)
-    n = graph.num_vertices
-    degrees = np.diff(np.append(starts, columns.size))
-    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    once = rows < columns
-    edge_u = rows[once]
-    edge_v = columns[once].astype(np.int64)
+    edge_u, edge_v = graph.edge_array().T
     m = int(edge_u.size)
     if m == 0:
         return Graph(0), edge_u, edge_v
@@ -133,7 +126,7 @@ def line_graph_arrays(
         np.cumsum(position) - position, position
     )
     pair_lo = grouped_edge[base + offset]
-    line = Graph(m, zip(pair_lo.tolist(), pair_hi.tolist()))
+    line = Graph(m, np.stack((pair_lo, pair_hi), axis=1))
     return line, edge_u, edge_v
 
 
@@ -156,8 +149,7 @@ def graph_power_matrix(graph: Graph, k: int) -> Graph:
     for _ in range(k - 1):
         reach |= (reach.astype(np.float32) @ step) > 0.0
     np.fill_diagonal(reach, False)
-    upper_u, upper_v = np.nonzero(np.triu(reach, 1))
-    return Graph(n, zip(upper_u.tolist(), upper_v.tolist()))
+    return Graph(n, np.argwhere(np.triu(reach, 1)))
 
 
 class ApplicationRule(ABC):
@@ -754,7 +746,7 @@ class EngineMIS(MISAlgorithm):
             graph, max_rounds=min(max_rounds, self._max_rounds)
         ).run_fleet(FeedbackRule(), [layer_seed], rng_mode="counter")
         beeps = run.beeps_by_node[0]
-        degrees = np.array(graph.degrees(), dtype=np.int64)
+        degrees = np.diff(graph.indptr)
         channel_bits = int((beeps * degrees).sum())
         return MISRun(
             algorithm=self.name,

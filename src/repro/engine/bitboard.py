@@ -130,22 +130,19 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
 def pack_adjacency(graph: Graph) -> np.ndarray:
     """The graph's adjacency as ``(n, lanes)`` packed ``uint64`` rows.
 
-    Built from the CSR neighbour lists (no dense boolean intermediate),
+    Built from the graph's CSR arrays (no dense boolean intermediate),
     so packing a large sparse graph costs its edges, not ``n**2``.  The
-    per-vertex neighbour tuples are sorted and concatenated in vertex
-    order, so the ``(vertex, lane)`` keys are globally nondecreasing and
-    one ``bitwise_or.reduceat`` folds every lane's bits in a single pass.
+    neighbour lists are sorted and concatenated in vertex order, so the
+    ``(vertex, lane)`` keys are globally nondecreasing and one
+    ``bitwise_or.reduceat`` folds every lane's bits in a single pass.
     """
-    from repro.engine.sparse import build_csr
-
     n = graph.num_vertices
     lanes = lane_count(n)
     packed = np.zeros((n, lanes), dtype=np.uint64)
-    columns, starts, _isolated = build_csr(graph)
+    columns = graph.indices
     if columns.size == 0:
         return packed
-    degrees = np.diff(np.append(starts, columns.size))
-    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
     keys = rows * lanes + (columns >> 6)
     bits = np.uint64(1) << (columns & 63).astype(np.uint64)
     run_starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))

@@ -657,29 +657,18 @@ class ArmadaSimulator:
         self._super_starts = np.concatenate(
             [starts + base for (_, starts, _), base in zip(per_graph, bases)]
         )
-        # Degrees fall out of the (unclamped) CSR starts: consecutive
-        # starts delimit each vertex's segment, and a trailing isolated
-        # run's repeated start yields the correct zero.
         self._super_degrees = np.concatenate(
-            [
-                np.diff(np.append(starts, columns.size))
-                for columns, starts, _ in per_graph
-            ]
+            [np.diff(graph.indptr) for graph in self._graphs]
         ) if n else np.zeros(0, dtype=np.int64)
         self._mean_degree = (
             float(self._super_degrees.mean()) if self._super_degrees.size else 0.0
         )
         if backend == "dense":
-            # Build the float32 stack straight from the CSR segments (one
-            # vectorised scatter per graph) instead of paying the Python
-            # edge loop of Graph.adjacency_matrix per graph.
             self._adjacency = np.zeros(
                 (num_graphs, n, n), dtype=np.float32
             )
-            for g, (columns, starts, _) in enumerate(per_graph):
-                degrees = np.diff(np.append(starts, columns.size))
-                rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-                self._adjacency[g].reshape(-1)[rows * n + columns] = 1.0
+            for g, graph in enumerate(self._graphs):
+                self._adjacency[g] = graph.adjacency_matrix()
             self._flags32: Optional[np.ndarray] = None
             self._counts32: Optional[np.ndarray] = None
         elif backend == "bitboard":

@@ -44,6 +44,7 @@ DEFAULT_MAX_ROUNDS = 100_000
 def build_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR neighbour lists of ``graph``: ``(columns, starts, isolated)``.
 
+    Views of the graph's canonical (read-only) CSR arrays:
     ``columns`` concatenates each vertex's neighbour list; ``starts`` holds
     the *unclamped* per-vertex segment starts (``starts[v] ==
     columns.size`` for a trailing run of isolated vertices).  Consumers
@@ -55,22 +56,8 @@ def build_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     masked with ``isolated``.  Shared by :class:`SparseSimulator` and the
     fleet engine's sparse backend so the two stay structurally identical.
     """
-    from itertools import chain
-
-    n = graph.num_vertices
-    neighbor_lists = [graph.neighbors(v) for v in graph.vertices()]
-    degrees = np.fromiter(map(len, neighbor_lists), dtype=np.int64, count=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    # One C-level pass over the chained neighbour tuples; the per-vertex
-    # slice-assignment loop this replaces paid a tuple->array conversion
-    # per vertex.
-    columns = np.fromiter(
-        chain.from_iterable(neighbor_lists),
-        dtype=np.int64,
-        count=int(offsets[-1]),
-    )
-    return columns, offsets[:-1].copy(), degrees == 0
+    indptr = graph.indptr
+    return graph.indices, indptr[:-1], indptr[1:] == indptr[:-1]
 
 
 def csr_row_counts(

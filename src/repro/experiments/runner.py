@@ -158,7 +158,8 @@ def _emit_fleet_outcomes(
     message per incident channel.  ``graph`` must match the run's width
     — the universe graph for churn runs.
     """
-    degrees = np.array(graph.degrees(), dtype=np.int64)
+    degrees = np.diff(graph.indptr)
+    mean_beeps = run.mean_beeps
     for t in range(run.trials):
         channel_bits = int((run.beeps_by_node[t] * degrees).sum())
         outcomes.append(
@@ -166,7 +167,7 @@ def _emit_fleet_outcomes(
                 trial=group_lo + t,
                 rounds=int(run.rounds[t]),
                 mis_size=int(run.membership[t].sum()),
-                mean_beeps_per_node=float(run.mean_beeps[t]),
+                mean_beeps_per_node=float(mean_beeps[t]),
                 messages=channel_bits,
                 bits=channel_bits,
                 repair_rounds=(
@@ -192,7 +193,8 @@ def _emit_application_outcomes(
     peeling, matched edges / chosen vertices otherwise); beep and channel
     accounting lives on the *host* graph the MIS layers beeped on.
     """
-    degrees = np.array(host.degrees(), dtype=np.int64)
+    degrees = np.diff(host.indptr)
+    mean_beeps = run.mean_beeps
     for t in range(run.trials):
         channel_bits = int((run.beeps_by_node[t] * degrees).sum())
         outcomes.append(
@@ -200,7 +202,7 @@ def _emit_application_outcomes(
                 trial=group_lo + t,
                 rounds=int(run.rounds[t]),
                 mis_size=int(rule.output_size(run, t)),
-                mean_beeps_per_node=float(run.mean_beeps[t]),
+                mean_beeps_per_node=float(mean_beeps[t]),
                 messages=channel_bits,
                 bits=channel_bits,
             )

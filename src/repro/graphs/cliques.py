@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.graphs.graph import Graph, GraphBuilder
+import numpy as np
+
+from repro.graphs.graph import Graph
 
 
 def disjoint_cliques(sizes: Sequence[int]) -> Graph:
@@ -22,13 +24,14 @@ def disjoint_cliques(sizes: Sequence[int]) -> Graph:
     Vertices are numbered consecutively, clique by clique, in the order the
     sizes are given.
     """
-    builder = GraphBuilder()
+    blocks = []
+    offset = 0
     for size in sizes:
         if size < 0:
             raise ValueError(f"clique size must be >= 0, got {size}")
-        vertices = builder.add_vertices(size)
-        builder.add_clique(vertices)
-    return builder.build()
+        blocks.append(np.stack(np.triu_indices(size, 1), axis=1) + offset)
+        offset += size
+    return Graph(offset, np.concatenate(blocks) if blocks else ())
 
 
 def theorem1_clique_sizes(side: int, copies: int = 0) -> List[int]:

@@ -1,18 +1,35 @@
 """Core undirected graph data structure.
 
 The whole reproduction works with a single, deliberately small graph type:
-an immutable, undirected, simple graph over vertices ``0..n-1`` stored as a
-tuple of sorted neighbour tuples.  Immutability means a :class:`Graph` can be
+an immutable, undirected, simple graph over vertices ``0..n-1`` stored in
+compressed-sparse-row (CSR) form — ``indptr`` (n + 1 segment offsets) and
+``indices`` (each vertex's sorted neighbour list, concatenated), both
+read-only ``int64`` arrays.  Immutability means a :class:`Graph` can be
 shared freely between trials, algorithms and engines without defensive
-copies, and the adjacency representation gives O(deg) neighbourhood scans,
-which is the access pattern of every round of a beeping simulation.
+copies.  The vectorised engines read the CSR arrays directly; the
+per-vertex tuples and frozensets that the per-node reference code scans
+(:meth:`Graph.neighbors`, :meth:`Graph.neighbor_set`) are built lazily on
+first use, so large graphs that never touch them never pay for them.
 
 Mutable construction goes through :class:`GraphBuilder`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 Edge = Tuple[int, int]
 
@@ -20,6 +37,11 @@ Edge = Tuple[int, int]
 def _normalise_edge(u: int, v: int) -> Edge:
     """Return the canonical (min, max) form of an undirected edge."""
     return (u, v) if u <= v else (v, u)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 class Graph:
@@ -32,8 +54,9 @@ class Graph:
         ``0..n-1``; isolated vertices are permitted and occur naturally in
         sparse random graphs.
     edges:
-        An iterable of ``(u, v)`` pairs.  Self-loops are rejected; duplicate
-        edges (in either orientation) are collapsed.
+        An iterable of ``(u, v)`` pairs of ``int``, or an ``(m, 2)``
+        integer array.  Self-loops are rejected; duplicate edges (in
+        either orientation) are collapsed.
 
     Examples
     --------
@@ -42,31 +65,38 @@ class Graph:
     (3, 2)
     >>> g.neighbors(1)
     (0, 2)
+    >>> g.indptr.tolist(), g.indices.tolist()
+    ([0, 1, 3, 4], [1, 0, 2, 1])
     """
 
-    __slots__ = ("_adjacency", "_num_edges", "_neighbor_sets")
+    __slots__ = ("_indptr", "_indices", "_adjacency", "_neighbor_sets")
 
-    def __init__(self, num_vertices: int, edges: Iterable[Edge] = ()) -> None:
+    def __init__(
+        self, num_vertices: int, edges: Union[Iterable[Edge], np.ndarray] = ()
+    ) -> None:
         if num_vertices < 0:
             raise ValueError(f"num_vertices must be >= 0, got {num_vertices}")
-        neighbor_sets: List[Set[int]] = [set() for _ in range(num_vertices)]
-        num_edges = 0
-        for u, v in edges:
-            self._check_vertex(u, num_vertices)
-            self._check_vertex(v, num_vertices)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
-            if v not in neighbor_sets[u]:
-                neighbor_sets[u].add(v)
-                neighbor_sets[v].add(u)
-                num_edges += 1
-        self._adjacency: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(sorted(neighbors)) for neighbors in neighbor_sets
-        )
-        self._neighbor_sets: Tuple[frozenset, ...] = tuple(
-            frozenset(neighbors) for neighbors in neighbor_sets
-        )
-        self._num_edges = num_edges
+        n = num_vertices
+        pairs = _edge_pairs(edges, n)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        keys = lo * n + hi
+        keys.sort()
+        # Sort-and-mask dedupe: np.unique's hash path is ~40x slower here.
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        # Both orientations of every edge, sorted: row-major (u, v) order
+        # is exactly CSR order with sorted neighbour lists.
+        both = np.concatenate((keys, (keys % n) * n + keys // n))
+        both.sort()
+        rows, indices = np.divmod(both, n) if n else (both, both)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self._indptr = _read_only(indptr)
+        self._indices = _read_only(indices)
+        self._adjacency: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._neighbor_sets: Optional[Tuple[frozenset, ...]] = None
 
     @staticmethod
     def _check_vertex(v: int, num_vertices: int) -> None:
@@ -78,18 +108,48 @@ class Graph:
             )
 
     # ------------------------------------------------------------------
+    # Canonical CSR arrays and the lazy per-vertex views
+    # ------------------------------------------------------------------
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """CSR offsets: ``indices[indptr[v]:indptr[v + 1]]`` are ``v``'s
+        neighbours.  Read-only ``int64``, length ``n + 1``."""
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Every vertex's sorted neighbour list, concatenated in vertex
+        order.  Read-only ``int64``, length ``2 m``."""
+        return self._indices
+
+    def _rows(self) -> np.ndarray:
+        """The source vertex of each ``indices`` entry."""
+        n = self.num_vertices
+        return np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
+
+    def _neighbor_tuples(self) -> Tuple[Tuple[int, ...], ...]:
+        if self._adjacency is None:
+            flat = self._indices.tolist()
+            bounds = self._indptr.tolist()
+            self._adjacency = tuple(
+                tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])
+            )
+        return self._adjacency
+
+    # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
 
     @property
     def num_vertices(self) -> int:
         """Number of vertices ``n``."""
-        return len(self._adjacency)
+        return self._indptr.size - 1
 
     @property
     def num_edges(self) -> int:
         """Number of (undirected) edges ``m``."""
-        return self._num_edges
+        return self._indices.size // 2
 
     def vertices(self) -> range:
         """The vertex set as a ``range`` object."""
@@ -97,51 +157,56 @@ class Graph:
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """The sorted tuple of neighbours of ``v``."""
-        return self._adjacency[v]
+        return self._neighbor_tuples()[v]
 
     def neighbor_set(self, v: int) -> frozenset:
         """The neighbours of ``v`` as a frozenset (O(1) membership)."""
+        if self._neighbor_sets is None:
+            self._neighbor_sets = tuple(map(frozenset, self._neighbor_tuples()))
         return self._neighbor_sets[v]
 
     def degree(self, v: int) -> int:
         """The degree of vertex ``v``."""
-        return len(self._adjacency[v])
+        return len(self.neighbors(v))
 
     def degrees(self) -> Tuple[int, ...]:
         """Degrees of all vertices, indexed by vertex."""
-        return tuple(len(neighbors) for neighbors in self._adjacency)
+        return tuple(np.diff(self._indptr).tolist())
 
     def max_degree(self) -> int:
         """The maximum degree, 0 for the empty graph."""
         if self.num_vertices == 0:
             return 0
-        return max(self.degrees())
+        return int(np.diff(self._indptr).max())
 
     def min_degree(self) -> int:
         """The minimum degree, 0 for the empty graph."""
         if self.num_vertices == 0:
             return 0
-        return min(self.degrees())
+        return int(np.diff(self._indptr).min())
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the edge ``{u, v}`` is present."""
         self._check_vertex(u, self.num_vertices)
         self._check_vertex(v, self.num_vertices)
-        return v in self._neighbor_sets[u]
+        return v in self.neighbor_set(u)
+
+    def edge_array(self) -> np.ndarray:
+        """The edges as an ``(m, 2)`` ``int64`` array, in :meth:`edges` order."""
+        rows = self._rows()
+        once = rows < self._indices
+        return np.stack((rows[once], self._indices[once]), axis=1)
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges in canonical ``(u, v)`` with ``u < v`` order."""
-        for u, neighbors in enumerate(self._adjacency):
-            for v in neighbors:
-                if u < v:
-                    yield (u, v)
+        return map(tuple, self.edge_array().tolist())
 
     def density(self) -> float:
         """Edge density ``m / C(n, 2)``; 0.0 for graphs with < 2 vertices."""
         n = self.num_vertices
         if n < 2:
             return 0.0
-        return self._num_edges / (n * (n - 1) / 2)
+        return self.num_edges / (n * (n - 1) / 2)
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -168,20 +233,13 @@ class Graph:
 
     def complement(self) -> "Graph":
         """The complement graph (quadratic; meant for small graphs)."""
-        n = self.num_vertices
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if v not in self._neighbor_sets[u]
-        ]
-        return Graph(n, edges)
+        missing = ~self.adjacency_matrix()
+        return Graph(self.num_vertices, np.argwhere(np.triu(missing, 1)))
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         """The disjoint union; ``other``'s vertices are shifted by ``n``."""
         offset = self.num_vertices
-        edges = list(self.edges())
-        edges.extend((u + offset, v + offset) for u, v in other.edges())
+        edges = np.concatenate((self.edge_array(), other.edge_array() + offset))
         return Graph(offset + other.num_vertices, edges)
 
     def relabel(self, permutation: Sequence[int]) -> "Graph":
@@ -197,6 +255,7 @@ class Graph:
 
     def connected_components(self) -> List[List[int]]:
         """Connected components as sorted vertex lists, in discovery order."""
+        adjacency = self._neighbor_tuples()
         seen = [False] * self.num_vertices
         components: List[List[int]] = []
         for root in self.vertices():
@@ -208,7 +267,7 @@ class Graph:
             while stack:
                 u = stack.pop()
                 component.append(u)
-                for w in self._adjacency[u]:
+                for w in adjacency[u]:
                     if not seen[w]:
                         seen[w] = True
                         stack.append(w)
@@ -225,15 +284,11 @@ class Graph:
     # Matrix view
     # ------------------------------------------------------------------
 
-    def adjacency_matrix(self):
+    def adjacency_matrix(self) -> np.ndarray:
         """The boolean adjacency matrix as a numpy array (n x n)."""
-        import numpy as np
-
         n = self.num_vertices
         matrix = np.zeros((n, n), dtype=bool)
-        for u, v in self.edges():
-            matrix[u, v] = True
-            matrix[v, u] = True
+        matrix[self._rows(), self._indices] = True
         return matrix
 
     # ------------------------------------------------------------------
@@ -243,10 +298,12 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adjacency == other._adjacency
+        return np.array_equal(self._indptr, other._indptr) and np.array_equal(
+            self._indices, other._indices
+        )
 
     def __hash__(self) -> int:
-        return hash(self._adjacency)
+        return hash((self._indptr.tobytes(), self._indices.tobytes()))
 
     def __len__(self) -> int:
         return self.num_vertices
@@ -259,6 +316,58 @@ class Graph:
             f"Graph(num_vertices={self.num_vertices}, "
             f"num_edges={self.num_edges})"
         )
+
+
+def _check_pairs(pairs: Iterable, num_vertices: int) -> None:
+    """Raise the error the first invalid pair of ``pairs`` earns.
+
+    The per-pair contract, in order: both endpoints are ``int`` (not
+    ``bool``) and in range, and the pair is not a self-loop.
+    """
+    for u, v in pairs:
+        Graph._check_vertex(u, num_vertices)
+        Graph._check_vertex(v, num_vertices)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} is not allowed")
+
+
+def _edge_pairs(edges: Union[Iterable[Edge], np.ndarray], n: int) -> np.ndarray:
+    """``edges`` as a validated ``(m, 2)`` ``int64`` array.
+
+    Validation is vectorised; only an invalid input falls back to the
+    per-pair check, on the first offending pair, so the error raised is
+    the one a pair-by-pair scan would raise.
+    """
+    if isinstance(edges, np.ndarray):
+        if edges.size == 0:
+            return np.zeros((0, 2), dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edge array must have shape (m, 2), got {edges.shape}")
+        if not np.issubdtype(edges.dtype, np.integer):
+            raise TypeError(f"vertex must be an int, got {edges.dtype} array")
+        bad = ((edges < 0) | (edges >= n)).any(axis=1)
+        bad |= edges[:, 0] == edges[:, 1]
+        if bad.any():
+            first = int(np.argmax(bad))
+            _check_pairs([tuple(edges[first].tolist())], n)
+        return edges.astype(np.int64, copy=False)
+    pairs = list(edges)
+    try:
+        flat = list(chain.from_iterable(pairs))
+        well_typed = len(flat) == 2 * len(pairs) and set(map(type, flat)) <= {int}
+        array = np.array(flat, dtype=np.int64).reshape(-1, 2) if well_typed else None
+    except (TypeError, OverflowError):
+        array = None
+    if array is None:
+        # Wrong arity, non-int endpoints or out-of-int64 values: the
+        # per-pair scan names the first offence.  Only int subclasses
+        # (which pass it) continue to the conversion.
+        _check_pairs(pairs, n)
+        array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    bad = ((array < 0) | (array >= n)).any(axis=1) | (array[:, 0] == array[:, 1])
+    if bad.any():
+        _check_pairs([pairs[int(np.argmax(bad))]], n)
+    return array
 
 
 class GraphBuilder:
@@ -316,4 +425,4 @@ class GraphBuilder:
 
     def build(self) -> Graph:
         """Freeze the builder into an immutable :class:`Graph`."""
-        return Graph(self._num_vertices, sorted(self._edges))
+        return Graph(self._num_vertices, self._edges)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import List, Optional, Tuple
+from typing import List, Optional
+
+import numpy as np
 
 from repro.graphs.graph import Graph, GraphBuilder
 
@@ -37,22 +39,27 @@ def gnp_random_graph(n: int, p: float, rng: Random) -> Graph:
     if p == 0.0 or n < 2:
         return Graph(n)
     if p == 1.0:
-        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    edges: List[Tuple[int, int]] = []
+        return Graph(n, np.stack(np.triu_indices(n, 1), axis=1))
     log_q = math.log(1.0 - p)
     if log_q == 0.0:
         # p is below float resolution (log1p(-p) rounds to 0): no edges.
         return Graph(n)
+    lows: List[int] = []
+    highs: List[int] = []
+    # Hot loop: bound methods hoisted into locals (same draws, same order).
+    random, log = rng.random, math.log
+    add_low, add_high = lows.append, highs.append
     v = 1
     w = -1
     while v < n:
-        w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        w += 1 + int(log(1.0 - random()) / log_q)
         while w >= v and v < n:
             w -= v
             v += 1
         if v < n:
-            edges.append((w, v))
-    return Graph(n, edges)
+            add_low(w)
+            add_high(v)
+    return Graph(n, np.array((lows, highs), dtype=np.int64).T)
 
 
 def gnm_random_graph(n: int, m: int, rng: Random) -> Graph:

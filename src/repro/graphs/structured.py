@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.graphs.graph import Graph
 
 
@@ -21,7 +23,7 @@ def empty_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     """The complete graph ``K_n``."""
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, np.stack(np.triu_indices(n, 1), axis=1))
 
 
 def path_graph(n: int) -> Graph:
@@ -63,15 +65,10 @@ def grid_graph(rows: int, cols: int) -> Graph:
     """
     if rows < 0 or cols < 0:
         raise ValueError("grid dimensions must be >= 0")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return Graph(rows * cols, edges)
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    right = np.stack((ids[:, :-1].ravel(), ids[:, 1:].ravel()), axis=1)
+    down = np.stack((ids[:-1, :].ravel(), ids[1:, :].ravel()), axis=1)
+    return Graph(rows * cols, np.concatenate((right, down)))
 
 
 def torus_grid_graph(rows: int, cols: int) -> Graph:
