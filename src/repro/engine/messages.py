@@ -339,7 +339,7 @@ class _MessageKernel:
         self._backend = backend
         self._columns, self._starts, self._isolated = build_csr(graph)
         if backend == "dense":
-            self._adjacency_bool = graph.adjacency_matrix().astype(bool)
+            self._adjacency_bool = graph.adjacency_matrix()
             self._adjacency_f32 = self._adjacency_bool.astype(np.float32)
         self._edge_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -401,12 +401,8 @@ class _MessageKernel:
     def edge_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Each undirected edge once, as ``(u, v)`` arrays with u < v."""
         if self._edge_pair is None:
-            degrees = np.diff(np.append(self._starts, self._columns.size))
-            rows = np.repeat(
-                np.arange(self._n, dtype=np.int64), degrees
-            )
-            once = rows < self._columns
-            self._edge_pair = (rows[once], self._columns[once])
+            edges = self._graph.edge_array()
+            self._edge_pair = (edges[:, 0], edges[:, 1])
         return self._edge_pair
 
     def prefix_round_bits(

@@ -39,11 +39,6 @@ def _normalise_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 class Graph:
     """An immutable undirected simple graph on vertices ``0..n-1``.
 
@@ -93,8 +88,10 @@ class Graph:
         rows, indices = np.divmod(both, n) if n else (both, both)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        self._indptr = _read_only(indptr)
-        self._indices = _read_only(indices)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        self._indptr = indptr
+        self._indices = indices
         self._adjacency: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._neighbor_sets: Optional[Tuple[frozenset, ...]] = None
 
@@ -351,17 +348,19 @@ def _edge_pairs(edges: Union[Iterable[Edge], np.ndarray], n: int) -> np.ndarray:
             first = int(np.argmax(bad))
             _check_pairs([tuple(edges[first].tolist())], n)
         return edges.astype(np.int64, copy=False)
-    pairs = list(edges)
-    try:
+    pairs = [tuple(pair) for pair in edges]
+    array = None
+    if set(map(len, pairs)) <= {2}:
         flat = list(chain.from_iterable(pairs))
-        well_typed = len(flat) == 2 * len(pairs) and set(map(type, flat)) <= {int}
-        array = np.array(flat, dtype=np.int64).reshape(-1, 2) if well_typed else None
-    except (TypeError, OverflowError):
-        array = None
+        if set(map(type, flat)) <= {int}:
+            try:
+                array = np.array(flat, dtype=np.int64).reshape(-1, 2)
+            except OverflowError:
+                pass
     if array is None:
-        # Wrong arity, non-int endpoints or out-of-int64 values: the
-        # per-pair scan names the first offence.  Only int subclasses
-        # (which pass it) continue to the conversion.
+        # Wrong arity, non-int endpoints or ids beyond int64: the per-pair
+        # scan raises for the first offence.  Only int subclasses (which
+        # pass it) go on to the conversion.
         _check_pairs(pairs, n)
         array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     bad = ((array < 0) | (array >= n)).any(axis=1) | (array[:, 0] == array[:, 1])

@@ -177,3 +177,9 @@ def test_huge_vertex_ids_are_out_of_range():
 def test_array_must_have_two_columns():
     with pytest.raises(ValueError, match="shape"):
         Graph(3, np.array([[0, 1, 2]]))
+
+
+def test_pairs_must_have_two_endpoints():
+    # Ragged pairs that happen to flatten to an even count still fail.
+    with pytest.raises(ValueError):
+        Graph(4, [(0, 1, 2), (3,)])
