@@ -16,7 +16,6 @@ Mutable construction goes through :class:`GraphBuilder`.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import (
     Dict,
     Iterable,
@@ -164,7 +163,7 @@ class Graph:
 
     def degree(self, v: int) -> int:
         """The degree of vertex ``v``."""
-        return len(self.neighbors(v))
+        return int(self._indptr[v + 1] - self._indptr[v])
 
     def degrees(self) -> Tuple[int, ...]:
         """Degrees of all vertices, indexed by vertex."""
@@ -331,9 +330,10 @@ def _check_pairs(pairs: Iterable, num_vertices: int) -> None:
 def _edge_pairs(edges: Union[Iterable[Edge], np.ndarray], n: int) -> np.ndarray:
     """``edges`` as a validated ``(m, 2)`` ``int64`` array.
 
-    Validation is vectorised; only an invalid input falls back to the
-    per-pair check, on the first offending pair, so the error raised is
-    the one a pair-by-pair scan would raise.
+    An integer array is checked vectorised, and only its first bad row
+    goes through the per-pair check, so the error raised is the one a
+    pair-by-pair scan would raise.  Any other iterable is scanned pair by
+    pair.
     """
     if isinstance(edges, np.ndarray):
         if edges.size == 0:
@@ -349,24 +349,8 @@ def _edge_pairs(edges: Union[Iterable[Edge], np.ndarray], n: int) -> np.ndarray:
             _check_pairs([tuple(edges[first].tolist())], n)
         return edges.astype(np.int64, copy=False)
     pairs = [tuple(pair) for pair in edges]
-    array = None
-    if set(map(len, pairs)) <= {2}:
-        flat = list(chain.from_iterable(pairs))
-        if set(map(type, flat)) <= {int}:
-            try:
-                array = np.array(flat, dtype=np.int64).reshape(-1, 2)
-            except OverflowError:
-                pass
-    if array is None:
-        # Wrong arity, non-int endpoints or ids beyond int64: the per-pair
-        # scan raises for the first offence.  Only int subclasses (which
-        # pass it) go on to the conversion.
-        _check_pairs(pairs, n)
-        array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    bad = ((array < 0) | (array >= n)).any(axis=1) | (array[:, 0] == array[:, 1])
-    if bad.any():
-        _check_pairs([pairs[int(np.argmax(bad))]], n)
-    return array
+    _check_pairs(pairs, n)
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 class GraphBuilder:

@@ -121,6 +121,18 @@ def test_csr_arrays_are_read_only():
         graph.indptr[0] = 1
 
 
+def test_degree_queries_build_no_lazy_views(monkeypatch):
+    graph = Graph(4, [(0, 1), (1, 2), (1, 3)])
+
+    def refuse(self):
+        raise AssertionError("lazy neighbour views were built")
+
+    monkeypatch.setattr(Graph, "_neighbor_tuples", refuse)
+    assert [graph.degree(v) for v in range(4)] == [1, 3, 1, 1]
+    assert graph.degrees() == (1, 3, 1, 1)
+    assert (graph.max_degree(), graph.min_degree()) == (3, 1)
+
+
 # ---------------------------------------------------------------------------
 # Constructor error contracts, for list and ndarray input alike.
 # ---------------------------------------------------------------------------
