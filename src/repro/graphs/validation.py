@@ -24,13 +24,6 @@ class MISValidationError(AssertionError):
 
 def _as_checked_set(graph: Graph, vertices: Iterable[int]) -> Set[int]:
     vertex_set = set(vertices)
-    if not vertex_set or (
-        set(map(type, vertex_set)) == {int}
-        and min(vertex_set) >= 0
-        and max(vertex_set) < graph.num_vertices
-    ):
-        return vertex_set
-    # Something is off: name the first offender in iteration order.
     for v in vertex_set:
         if v not in graph:
             raise ValueError(
