@@ -3,8 +3,8 @@
 The reference runtime in :mod:`repro.beeping` is per-node and fully
 instrumented — ideal for correctness, traces and the proof instrumentation,
 but too slow for the paper's Figure 3 sweep (graphs up to n = 1000 with 100
-trials per size).  This package provides three interchangeable fast
-engines, all implementing the same two-exchange round semantics:
+trials per size).  This package provides six fast engines, all
+implementing the same two-exchange round semantics:
 
 **Dense** (:class:`VectorizedSimulator`)
     One trial at a time; the one-bit OR observation is an n x n
@@ -13,10 +13,11 @@ engines, all implementing the same two-exchange round semantics:
     oracle the other engines are checked against.
 
 **Sparse** (:class:`SparseSimulator`)
-    One trial at a time over a CSR adjacency with ``add.reduceat``; a round
-    costs O(n + m).  Wins on large sparse topologies (grids, geometric and
-    sensor networks) where the dense engine's quadratic memory is waste —
-    it comfortably reaches n = 50,000 at mean degree 8.
+    The dense engine's round loop with the neighbour counts taken over a
+    CSR adjacency with ``add.reduceat`` (the only method it overrides); a
+    round costs O(n + m).  Wins on large sparse topologies (grids,
+    geometric and sensor networks) where the dense engine's quadratic
+    memory is waste — it comfortably reaches n = 50,000 at mean degree 8.
 
 **Fleet** (:class:`FleetSimulator`)
     All ``trials`` independent runs of one graph in lockstep as
@@ -34,9 +35,10 @@ engines, all implementing the same two-exchange round semantics:
     The fleet lifted one dimension: every same-``n`` graph group of one
     experiment cell in a single ``(trials, graphs * n)`` block-diagonal
     batch — one batched GEMM or block-diagonal CSR ``reduceat`` pass per
-    round for the *whole cell*.  Counter rng mode only;
-    ``benchmarks/bench_counter_rng.py`` records the margin over the
-    per-graph stream path.
+    round for the *whole cell*, then an entry-level frontier tail
+    (``run_counter_frontier``, which the fleet's bitboard backend shares).
+    Counter rng mode only; ``benchmarks/bench_counter_rng.py`` records the
+    margin over the per-graph stream path.
 
 **Message fleet** (:class:`MessageFleetSimulator` /
 :class:`MessageArmadaSimulator`)

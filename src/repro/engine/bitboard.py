@@ -22,11 +22,11 @@ order per rng mode, same fault discipline, same join/retire schedule, so
 results stay bit-identical to every other backend — but it keeps all
 per-trial state compacted to the rows still alive (finished trials leave
 the tensors entirely instead of riding along masked), and in counter
-mode it hands the tail of a run to an entry-level frontier phase exactly
-like the armada's: uniforms are evaluated only at the surviving
-``(trial, vertex)`` entries (:func:`repro.beeping.rng.counter_uniforms_at`)
-and ``heard`` is a bit test against the OR of the beeping entries'
-packed adjacency rows.  Stream mode cannot shrink the draws (a
+mode it hands the tail of a run to the armada's entry-level frontier,
+:func:`repro.engine.fleet.run_counter_frontier`: uniforms are evaluated
+only at the surviving ``(trial, vertex)`` entries and ``heard`` is a bit
+test (:meth:`BitboardKernel.entry_or_test`) against the OR of the
+beeping entries' packed adjacency rows.  Stream mode cannot shrink the draws (a
 sequential generator must keep emitting full rows to stay aligned), so
 it runs the compacted full-width loop throughout.
 
@@ -38,7 +38,7 @@ bit-reproducibility contract across both rng modes and all fault models.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,9 +47,7 @@ from repro.beeping.rng import (
     DRAW_BEEP,
     DRAW_LOSS,
     DRAW_SPURIOUS,
-    counter_state,
     counter_uniforms,
-    counter_uniforms_at,
     seed_array,
     stream_generators,
 )
@@ -60,7 +58,6 @@ from repro.engine.simulator import (
     faulty_observation,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.validation import verify_mis
 from repro.telemetry import probes
 
 #: Flags per packed word.
@@ -285,12 +282,17 @@ def run_bitboard_fleet(
       stream generators are still drawn in the per-trial engines' exact
       sequence and counter blocks are the matching row subsets.
     - **Counter frontier.**  Fault-free counter runs without beep
-      recording hand the tail to an entry-level phase once the active
-      fraction is small (the armada's frontier discipline): per-round
-      cost then scales with the surviving entries, and every uniform
-      read is bit-equal to the corresponding block entry.
+      recording hand the tail to the armada's entry-level phase
+      (:func:`~repro.engine.fleet.run_counter_frontier`) once the active
+      fraction is small: per-round cost then scales with the surviving
+      entries, and every uniform read is bit-equal to the corresponding
+      block entry.
     """
-    from repro.engine.fleet import FleetRun
+    from repro.engine.fleet import (
+        emit_run_probes,
+        fleet_runs,
+        run_counter_frontier,
+    )
 
     churn_schedule = faults.churn_schedule
     has_churn = not churn_schedule.is_empty()
@@ -474,139 +476,25 @@ def run_bitboard_fleet(
     if orig.size and not capped:
         membership[orig] = member_live
         beeps[orig] = beeps_live
-        live_count = orig.size
-        entry_rows, entry_cols = np.nonzero(active)
-        entry_p = probabilities[entry_rows, entry_cols]
-        row_alive = np.ones(live_count, dtype=bool)
-        true_entries = np.ones(entry_rows.size, dtype=bool)
-        if telemetry_on:
-            probes.count("engine.bitboard.frontier_transitions")
-            probes.gauge(
-                "engine.bitboard.frontier_round", float(round_index)
-            )
-            probes.gauge(
-                "engine.bitboard.frontier_entries", float(entry_rows.size)
-            )
-        # Counter states for a block of future rounds in one call
-        # (statelessness makes look-ahead free), as in the armada.
-        state_block_rounds = 16
-        state_block_base = -1
-        state_block = None
-        while entry_rows.size:
-            if round_index >= max_rounds:
-                raise RuntimeError(
-                    f"fleet simulation exceeded {max_rounds} rounds"
-                )
-            crash = crash_masks.get(round_index)
-            if crash is not None:
-                hit = crash[entry_cols]
-                if hit.any():
-                    crashed[
-                        orig[entry_rows[hit]], entry_cols[hit]
-                    ] = True
-                    keep = ~hit
-                    entry_rows = entry_rows[keep]
-                    entry_cols = entry_cols[keep]
-                    entry_p = entry_p[keep]
-            if telemetry_on:
-                active_cells += int(entry_rows.size)
-            if (
-                state_block is None
-                or round_index >= state_block_base + state_block_rounds
-            ):
-                state_block_base = round_index
-                block = np.arange(
-                    state_block_base,
-                    state_block_base + state_block_rounds,
-                    dtype=np.uint64,
-                )
-                state_block = counter_state(
-                    live_seeds, block[:, np.newaxis], DRAW_BEEP
-                )
-            state = state_block[round_index - state_block_base]
-            entry_uniforms = counter_uniforms_at(
-                state[entry_rows], entry_cols
-            )
-            entry_beep = entry_uniforms < entry_p
-            beep_rows = entry_rows[entry_beep]
-            beep_cols = entry_cols[entry_beep]
-            beeps[orig[beep_rows], beep_cols] += 1
-            entry_heard = kernel.entry_or_test(
-                beep_rows, beep_cols, entry_rows, entry_cols, live_count
-            )
-            if true_entries.size < entry_rows.size:
-                true_entries = np.ones(entry_rows.size, dtype=bool)
-            entry_p = rule.update(
-                entry_p,
-                entry_heard,
-                true_entries[: entry_rows.size],
-                round_index,
-            )
-            entry_joined = entry_beep & ~entry_heard
-            joined_rows = entry_rows[entry_joined]
-            joined_cols = entry_cols[entry_joined]
-            membership[orig[joined_rows], joined_cols] = True
-            neighbor_joined = kernel.entry_or_test(
-                joined_rows, joined_cols, entry_rows, entry_cols,
-                live_count,
-            )
-            keep = ~(entry_joined | neighbor_joined)
-            entry_rows = entry_rows[keep]
-            entry_cols = entry_cols[keep]
-            entry_p = entry_p[keep]
-            surviving = np.zeros(live_count, dtype=bool)
-            surviving[entry_rows] = True
-            retired = row_alive & ~surviving
-            rounds[orig[retired]] = round_index + 1
-            row_alive = surviving
-            round_index += 1
-    run = FleetRun(
-        rule_name=rule.name,
-        num_vertices=n,
-        trials=trials,
-        rounds=rounds,
-        membership=membership,
-        beeps_by_node=beeps,
-        beep_history=(
-            np.array(history, dtype=bool).reshape(
-                len(history), trials, n
-            )
-            if record_beeps
-            else None
-        ),
-        crashed=crashed if crash_masks else None,
-        absent=churn.absent_mask() if has_churn else None,
-        repair_rounds=churn.repair if has_churn else None,
-        recovered=recovered,
-    )
+        round_index, frontier_cells = run_counter_frontier(
+            "bitboard", rule, live_seeds, active, probabilities, orig,
+            lambda src_rows, src_cols, rows, cols: kernel.entry_or_test(
+                src_rows, src_cols, rows, cols, orig.size
+            ),
+            rounds, membership, beeps, crashed, crash_masks,
+            round_index, max_rounds,
+        )
+        active_cells += frontier_cells
     if telemetry_on:
-        probes.count("engine.fleet.runs")
-        probes.count("engine.fleet.rounds", round_index)
-        probes.count("engine.fleet.trials", trials)
-        probes.count("engine.backend.bitboard")
-        if has_churn:
-            probes.count(
-                "engine.churn.events",
-                trials * len(churn_schedule.events),
-            )
-            resolved = churn.repair[churn.repair >= 0]
-            if resolved.size:
-                probes.gauge(
-                    "engine.repair.rounds", float(resolved.mean())
-                )
-        if round_index and trials and n:
-            probes.gauge(
-                "engine.fleet.active_fraction",
-                active_cells / (round_index * trials * n),
-            )
-    if validate:
-        for trial in range(trials):
-            if not run.trial_recovered(trial):
-                continue
-            verify_mis(
-                graph,
-                run.mis_set(trial),
-                crashed=run.crashed_set(trial),
-                absent=run.absent_set(trial),
-            )
+        emit_run_probes(
+            "fleet", "bitboard", trials, n, round_index, active_cells, churn
+        )
+    (run,) = fleet_runs(
+        rule, [graph], [trials], rounds, membership, beeps,
+        crashed=crashed if crash_masks else None,
+        churn=churn,
+        recovered=recovered,
+        history=history,
+        validate=validate,
+    )
     return run

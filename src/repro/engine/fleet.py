@@ -54,7 +54,10 @@ the counter mode: all same-``n`` graph groups of one experiment cell run
 as a single block-diagonal batch — one batched dense GEMM (``(graphs, n,
 n)`` adjacency stack) or one block-diagonal CSR ``reduceat`` pass per
 round for the *whole cell* — removing the last per-graph interpreted
-round-loop from the figure hot path.
+round-loop from the figure hot path.  Its fault-free tail runs on the
+still-active entries only (:func:`run_counter_frontier`, shared with the
+bitboard backend), and every lockstep loop hands its arrays to one
+epilogue, :func:`fleet_runs`.
 
 The lockstep schedule requires the probability rule to be elementwise
 (``ProbabilityRule.trial_parallel``); the three paper rules qualify.
@@ -63,7 +66,7 @@ The lockstep schedule requires the probability rule to be elementwise
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -175,6 +178,217 @@ class FleetRun:
         )
 
 
+def fleet_runs(
+    rule: ProbabilityRule,
+    graphs: Sequence[Graph],
+    sizes: Sequence[int],
+    rounds: np.ndarray,
+    membership: np.ndarray,
+    beeps: np.ndarray,
+    crashed: Optional[np.ndarray] = None,
+    churn: Optional[ChurnState] = None,
+    recovered: Optional[np.ndarray] = None,
+    history: Optional[list] = None,
+    validate: bool = False,
+) -> List[FleetRun]:
+    """One :class:`FleetRun` per graph from a lockstep batch's arrays.
+
+    Rows are grouped by graph, ``sizes[g]`` rows for ``graphs[g]``; each
+    run holds row-slice views of the batch arrays.  ``crashed`` is passed
+    only when the fault model scheduled crashes, ``churn`` and
+    ``recovered`` only under churn, ``history`` (the per-round beep
+    frames) only when beeps were recorded.  With ``validate`` every trial
+    that recovered is checked with :func:`verify_mis` on its graph.
+    """
+    n = membership.shape[1]
+    absent = churn.absent_mask() if churn is not None else None
+    beep_history = (
+        np.array(history, dtype=bool).reshape(len(history), rounds.size, n)
+        if history is not None
+        else None
+    )
+    runs: List[FleetRun] = []
+    offset = 0
+    for graph, size in zip(graphs, sizes):
+        block = slice(offset, offset + size)
+        run = FleetRun(
+            rule_name=rule.name,
+            num_vertices=n,
+            trials=size,
+            rounds=rounds[block],
+            membership=membership[block],
+            beeps_by_node=beeps[block],
+            beep_history=(
+                beep_history[:, block] if beep_history is not None else None
+            ),
+            crashed=crashed[block] if crashed is not None else None,
+            absent=absent[block] if absent is not None else None,
+            repair_rounds=churn.repair[block] if churn is not None else None,
+            recovered=recovered[block] if recovered is not None else None,
+        )
+        if validate:
+            for trial in range(size):
+                if run.trial_recovered(trial):
+                    verify_mis(
+                        graph,
+                        run.mis_set(trial),
+                        crashed=run.crashed_set(trial),
+                        absent=run.absent_set(trial),
+                    )
+        runs.append(run)
+        offset += size
+    return runs
+
+
+def emit_run_probes(
+    kind: str,
+    backend: str,
+    trials: int,
+    n: int,
+    round_count: int,
+    active_cells: int,
+    churn: Optional[ChurnState],
+) -> None:
+    """The ``engine.<kind>.*`` run counters every lockstep loop emits.
+
+    Call only when probes are on; ``active_cells`` is the loop's tally of
+    active ``(row, vertex)`` cells over all executed rounds.
+    """
+    probes.count(f"engine.{kind}.runs")
+    probes.count(f"engine.{kind}.rounds", round_count)
+    probes.count(f"engine.{kind}.trials", trials)
+    probes.count(f"engine.backend.{backend}")
+    if churn is not None:
+        probes.count(
+            "engine.churn.events", trials * len(churn.schedule.events)
+        )
+        resolved = churn.repair[churn.repair >= 0]
+        if resolved.size:
+            probes.gauge("engine.repair.rounds", float(resolved.mean()))
+    if round_count and trials and n:
+        probes.gauge(
+            f"engine.{kind}.active_fraction",
+            active_cells / (round_count * trials * n),
+        )
+
+
+#: Rounds of counter states one frontier look-ahead call computes.
+_STATE_BLOCK_ROUNDS = 16
+
+
+def run_counter_frontier(
+    kind: str,
+    rule: ProbabilityRule,
+    seeds: np.ndarray,
+    active: np.ndarray,
+    probabilities: np.ndarray,
+    orig: np.ndarray,
+    hit: Callable[
+        [np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray
+    ],
+    rounds: np.ndarray,
+    membership: np.ndarray,
+    beeps: np.ndarray,
+    crashed: Optional[np.ndarray],
+    crash_masks: Dict[int, np.ndarray],
+    round_index: int,
+    max_rounds: int,
+) -> Tuple[int, int]:
+    """Finish a fault-free counter-mode run on its still-active entries.
+
+    The tail shared by :class:`ArmadaSimulator` and the bitboard fleet
+    (:func:`repro.engine.bitboard.run_bitboard_fleet`).  Once the active
+    fraction is small, the state collapses to the list of still-active
+    ``(row, vertex)`` entries of ``active``.  Uniforms are evaluated only
+    at those entries (:func:`repro.beeping.rng.counter_uniforms_at` —
+    bit-equal to the corresponding block entries), so per-round cost
+    scales with the surviving frontier instead of ``rows * n``.
+
+    ``seeds``, ``active`` and ``probabilities`` are indexed by live row;
+    ``orig`` maps a live row to its row of the output arrays ``rounds``,
+    ``membership``, ``beeps`` and ``crashed`` (``None`` without crashes),
+    which are updated in place.  ``hit(src_rows, src_cols, rows, cols)``
+    is the caller's neighbour kernel: whether each entry ``(rows[i],
+    cols[i])`` neighbours a source entry of the same row (sources sorted
+    row-major).  Returns the round index at termination and the number of
+    active cells processed.  Emits ``engine.<kind>.frontier_*``.
+    """
+    entry_rows, entry_cols = np.nonzero(active)
+    entry_p = probabilities[entry_rows, entry_cols]
+    if probes.enabled():
+        probes.count(f"engine.{kind}.frontier_transitions")
+        probes.gauge(f"engine.{kind}.frontier_round", float(round_index))
+        probes.gauge(
+            f"engine.{kind}.frontier_entries", float(entry_rows.size)
+        )
+    row_alive = np.zeros(orig.size, dtype=bool)
+    row_alive[entry_rows] = True
+    true_entries = np.ones(entry_rows.size, dtype=bool)
+    active_cells = 0
+    # Counter states for a block of future rounds in one call
+    # (statelessness makes look-ahead free); refilled as the frontier
+    # outlives each block.
+    state_block_base = -1
+    state_block = None
+    while entry_rows.size:
+        if round_index >= max_rounds:
+            raise RuntimeError(
+                f"{kind} simulation exceeded {max_rounds} rounds"
+            )
+        crash = crash_masks.get(round_index)
+        if crash is not None:
+            down = crash[entry_cols]
+            if down.any():
+                crashed[orig[entry_rows[down]], entry_cols[down]] = True
+                keep = ~down
+                entry_rows = entry_rows[keep]
+                entry_cols = entry_cols[keep]
+                entry_p = entry_p[keep]
+        active_cells += int(entry_rows.size)
+        if (
+            state_block is None
+            or round_index >= state_block_base + _STATE_BLOCK_ROUNDS
+        ):
+            state_block_base = round_index
+            block = np.arange(
+                state_block_base,
+                state_block_base + _STATE_BLOCK_ROUNDS,
+                dtype=np.uint64,
+            )
+            state_block = counter_state(
+                seeds, block[:, np.newaxis], DRAW_BEEP
+            )
+        state = state_block[round_index - state_block_base]
+        entry_beep = (
+            counter_uniforms_at(state[entry_rows], entry_cols) < entry_p
+        )
+        beep_rows = entry_rows[entry_beep]
+        beep_cols = entry_cols[entry_beep]
+        beeps[orig[beep_rows], beep_cols] += 1
+        entry_heard = hit(beep_rows, beep_cols, entry_rows, entry_cols)
+        entry_p = rule.update(
+            entry_p, entry_heard, true_entries[: entry_rows.size], round_index
+        )
+        # Second exchange stays reliable: joins come from the true OR.
+        entry_joined = entry_beep & ~entry_heard
+        joined_rows = entry_rows[entry_joined]
+        joined_cols = entry_cols[entry_joined]
+        membership[orig[joined_rows], joined_cols] = True
+        retired = entry_joined | hit(
+            joined_rows, joined_cols, entry_rows, entry_cols
+        )
+        keep = ~retired
+        entry_rows = entry_rows[keep]
+        entry_cols = entry_cols[keep]
+        entry_p = entry_p[keep]
+        surviving = np.zeros(orig.size, dtype=bool)
+        surviving[entry_rows] = True
+        rounds[orig[row_alive & ~surviving]] = round_index + 1
+        row_alive = surviving
+        round_index += 1
+    return round_index, active_cells
+
+
 class FleetSimulator:
     """Runs one rule on one graph for a whole fleet of trials at once.
 
@@ -187,8 +401,9 @@ class FleetSimulator:
     - ``"bitboard"``: flags and adjacency rows packed into ``uint64``
       lanes; the OR is bitwise AND/OR over the packed rows and counts
       come from ``popcount`` (:mod:`repro.engine.bitboard`).  Runs its
-      own live-row-compacted loop with a counter-mode frontier tail —
-      the fastest backend at figure sizes, opt-in.
+      own live-row-compacted loop, handing counter-mode tails to the
+      armada's :func:`run_counter_frontier` — the fastest backend at
+      figure sizes, opt-in.
     - ``"auto"`` (default): dense up to :data:`DENSE_VERTEX_LIMIT` vertices,
       sparse beyond.
 
@@ -510,53 +725,19 @@ class FleetSimulator:
             rounds[alive & ~still_alive] = round_index + 1
             alive = still_alive
             round_index += 1
-        run = FleetRun(
-            rule_name=rule.name,
-            num_vertices=n,
-            trials=trials,
-            rounds=rounds,
-            membership=membership,
-            beeps_by_node=beeps,
-            beep_history=(
-                np.array(history, dtype=bool).reshape(len(history), trials, n)
-                if record_beeps
-                else None
-            ),
-            crashed=crashed if crash_masks else None,
-            absent=churn.absent_mask() if has_churn else None,
-            repair_rounds=churn.repair if has_churn else None,
-            recovered=recovered,
-        )
         if telemetry_on:
-            probes.count("engine.fleet.runs")
-            probes.count("engine.fleet.rounds", round_index)
-            probes.count("engine.fleet.trials", trials)
-            probes.count(f"engine.backend.{self._backend}")
-            if has_churn:
-                probes.count(
-                    "engine.churn.events",
-                    trials * len(churn_schedule.events),
-                )
-                resolved = churn.repair[churn.repair >= 0]
-                if resolved.size:
-                    probes.gauge(
-                        "engine.repair.rounds", float(resolved.mean())
-                    )
-            if round_index and trials and n:
-                probes.gauge(
-                    "engine.fleet.active_fraction",
-                    active_cells / (round_index * trials * n),
-                )
-        if validate:
-            for trial in range(trials):
-                if not run.trial_recovered(trial):
-                    continue
-                verify_mis(
-                    self._graph,
-                    run.mis_set(trial),
-                    crashed=run.crashed_set(trial),
-                    absent=run.absent_set(trial),
-                )
+            emit_run_probes(
+                "fleet", self._backend, trials, n, round_index,
+                active_cells, churn,
+            )
+        (run,) = fleet_runs(
+            rule, [self._graph], [trials], rounds, membership, beeps,
+            crashed=crashed if crash_masks else None,
+            churn=churn,
+            recovered=recovered,
+            history=history,
+            validate=validate,
+        )
         return run
 
 
@@ -585,14 +766,14 @@ class ArmadaSimulator:
       per-graph packed AND/OR over ``uint64`` bitboard rows
       (``"bitboard"`` backend) — exact in all cases.
     - **Frontier phase** (fault-free runs, once the live fraction is
-      small): the state collapses to the list of still-active ``(slot,
-      vertex)`` entries.  Uniforms are evaluated only at those entries
-      (:func:`repro.beeping.rng.counter_uniforms_at` — bit-equal to the
-      corresponding block entries), and ``heard`` comes from scattering
-      the beeping entries' neighbour lists through one block-diagonal
-      CSR over the ``graphs * n``-vertex union.  Per-round cost then
-      scales with the surviving frontier instead of ``slots * n``, which
-      is where most of a figure cell's rounds live.
+      small): :func:`run_counter_frontier`, the tail the bitboard fleet
+      shares.  The state collapses to the list of still-active ``(slot,
+      vertex)`` entries, uniforms are evaluated only at those entries,
+      and ``heard`` comes from scattering the beeping entries' neighbour
+      lists through one block-diagonal CSR over the ``graphs * n``-vertex
+      union.  Per-round cost then scales with the surviving frontier
+      instead of ``slots * n``, which is where most of a figure cell's
+      rounds live.
 
     Beep-loss/spurious-noise runs stay in the dense phase throughout
     (noise keeps the whole tensor relevant); crash schedules work in both
@@ -607,7 +788,6 @@ class ArmadaSimulator:
         graphs: Sequence[Graph],
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         backend: str = "auto",
-        frontier_entries: Optional[int] = None,
     ) -> None:
         if not graphs:
             raise ValueError("need at least one graph")
@@ -617,10 +797,6 @@ class ArmadaSimulator:
             raise ValueError(
                 "backend must be 'auto', 'dense', 'sparse' or 'bitboard', "
                 f"got {backend!r}"
-            )
-        if frontier_entries is not None and frontier_entries < 0:
-            raise ValueError(
-                f"frontier_entries must be >= 0, got {frontier_entries}"
             )
         n = graphs[0].num_vertices
         for graph in graphs:
@@ -632,7 +808,6 @@ class ArmadaSimulator:
         self._graphs = list(graphs)
         self._n = n
         self._max_rounds = max_rounds
-        self._frontier_entries = frontier_entries
         num_graphs = len(self._graphs)
         if backend == "auto":
             backend = (
@@ -716,14 +891,62 @@ class ArmadaSimulator:
         )
         return rows, self._local_columns[flat]
 
-    def _scatter_or(self, rows_sel: np.ndarray, cols_sel: np.ndarray,
-                    slot_base: np.ndarray, shape) -> np.ndarray:
-        """Boolean neighbour-OR of the selected entries, scattered."""
-        result = np.zeros(shape, dtype=bool)
-        rows, cols = self._expand(rows_sel, cols_sel, slot_base)
-        if rows.size:
-            result[rows, cols] = True
-        return result
+    def _frontier_hit(self, sizes: Sequence[int], slot_base: np.ndarray):
+        """The armada's ``hit`` callback for :func:`run_counter_frontier`.
+
+        Scatters the source entries' neighbour lists through the
+        block-diagonal CSR, gathers back at the queried entries, then
+        un-scatters so the buffer stays all-False (cheaper than a full
+        clear for large n).  On the dense backend, sources whose
+        neighbour lists would outgrow one full-tensor pass (typical right
+        after the handoff) take one batched GEMM over the staged entries
+        instead.
+        """
+        num_graphs, n = len(self._graphs), self._n
+        total = sum(sizes)
+        buffer = np.zeros((total, n), dtype=bool)
+        gemm = self._backend == "dense"
+        if gemm:
+            # Padded slot-row index into the (graphs, width, n) staging
+            # stack: slot row r of graph g maps to g * width + (r - offset_g).
+            width = max(sizes)
+            stacked_rows = num_graphs * width
+            group_offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+            padded_row = (
+                np.arange(total, dtype=np.int64)
+                - np.repeat(group_offsets, sizes)
+                + np.repeat(
+                    np.arange(num_graphs, dtype=np.int64) * width, sizes
+                )
+            )
+            stack = (num_graphs, width, n)
+            if self._flags32 is None or len(self._flags32) < stacked_rows:
+                self._flags32 = np.empty((stacked_rows, n), np.float32)
+            if self._counts32 is None or len(self._counts32) < stacked_rows:
+                self._counts32 = np.empty((stacked_rows, n), np.float32)
+        budget = float(max(total * n, 1))
+        expansion_degree = max(self._mean_degree, 1.0)
+
+        def hit(src_rows, src_cols, rows, cols):
+            if gemm and src_rows.size * expansion_degree > budget:
+                staged = self._flags32[:stacked_rows]
+                staged[:] = 0.0
+                staged[padded_row[src_rows], src_cols] = 1.0
+                counts = self._counts32[:stacked_rows]
+                np.matmul(
+                    staged.reshape(stack), self._adjacency,
+                    out=counts.reshape(stack),
+                )
+                return counts[padded_row[rows], cols] > 0.0
+            scatter_rows, scatter_cols = self._expand(
+                src_rows, src_cols, slot_base
+            )
+            buffer[scatter_rows, scatter_cols] = True
+            result = buffer[rows, cols]
+            buffer[scatter_rows, scatter_cols] = False
+            return result
+
+        return hit
 
     def _stage_f32(self, flags: np.ndarray, sizes: Sequence[int]):
         """``flags`` as the float32 GEMM operand, grouped per graph.
@@ -889,7 +1112,6 @@ class ArmadaSimulator:
                 ],
                 max_rounds=self._max_rounds,
                 backend=self._backend,
-                frontier_entries=self._frontier_entries,
             )
         return engine._run_armada(rule, seed_rows, validate, faults)
 
@@ -961,9 +1183,7 @@ class ArmadaSimulator:
             # quiescent slots keep executing through the quiet gaps like
             # the per-trial loop's ``rounds <= last_event`` condition.
             alive[:] = True
-        frontier_limit = self._frontier_entries
-        if frontier_limit is None:
-            frontier_limit = max(256, (total * n) // 3)
+        frontier_limit = max(256, (total * n) // 3)
         round_index = 0
         capped = False
         # Out-of-band telemetry (hoisted flag; the only probe-side work,
@@ -1066,211 +1286,27 @@ class ArmadaSimulator:
         # ---------------- frontier phase ----------------
         dense_rounds = round_index
         if alive.any() and not capped:
-            entry_rows, entry_cols = np.nonzero(active)
-            entry_p = probabilities[entry_rows, entry_cols]
-            if telemetry_on:
-                probes.count("engine.armada.frontier_transitions")
-                probes.gauge(
-                    "engine.armada.frontier_round", float(round_index)
-                )
-                probes.gauge(
-                    "engine.armada.frontier_entries", float(entry_rows.size)
-                )
-            heard_buffer = np.zeros((total, n), dtype=bool)
-            true_entries = np.ones(0, dtype=bool)
-            # Padded slot-row index for the staged-GEMM heard fallback:
-            # slot row r of graph g maps to row g * width + (r - offset_g)
-            # of the (graphs, width, n) staging stack.
-            if self._backend == "dense":
-                width = max(sizes)
-                group_offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-                padded_row = (
-                    np.arange(total, dtype=np.int64)
-                    - np.repeat(group_offsets, sizes)
-                    + np.repeat(
-                        np.arange(num_graphs, dtype=np.int64) * width, sizes
-                    )
-                )
-                if (
-                    self._flags32 is None
-                    or self._flags32.shape[0] < num_graphs * width
-                ):
-                    self._flags32 = np.empty(
-                        (num_graphs * width, n), dtype=np.float32
-                    )
-            # One full-tensor pass is what a dense-phase round would pay;
-            # expand while the beeping entries' neighbour lists stay
-            # below it, otherwise fall back to the batched GEMM.
-            expansion_budget = float(max(total * n, 1))
-            # Counter states for a block of future rounds in one call
-            # (statelessness makes look-ahead free); refilled as the
-            # frontier outlives each block.
-            state_block_rounds = 16
-            state_block_base = -1
-            state_block = None
-            while entry_rows.size:
-                if round_index >= self._max_rounds:
-                    raise RuntimeError(
-                        f"armada simulation exceeded {self._max_rounds} rounds"
-                    )
-                crash = crash_masks.get(round_index)
-                if crash is not None:
-                    hit = crash[entry_cols]
-                    if hit.any():
-                        crashed[entry_rows[hit], entry_cols[hit]] = True
-                        keep = ~hit
-                        entry_rows = entry_rows[keep]
-                        entry_cols = entry_cols[keep]
-                        entry_p = entry_p[keep]
-                if telemetry_on:
-                    active_cells += int(entry_rows.size)
-                if (
-                    state_block is None
-                    or round_index >= state_block_base + state_block_rounds
-                ):
-                    state_block_base = round_index
-                    block = np.arange(
-                        state_block_base,
-                        state_block_base + state_block_rounds,
-                        dtype=np.uint64,
-                    )
-                    state_block = counter_state(
-                        seeds, block[:, np.newaxis], DRAW_BEEP
-                    )
-                state = state_block[round_index - state_block_base]
-                entry_uniforms = counter_uniforms_at(
-                    state[entry_rows], entry_cols
-                )
-                entry_beep = entry_uniforms < entry_p
-                beep_rows = entry_rows[entry_beep]
-                beep_cols = entry_cols[entry_beep]
-                beeps[beep_rows, beep_cols] += 1
-                if (
-                    self._backend == "dense"
-                    and beep_rows.size * max(self._mean_degree, 1.0)
-                    > expansion_budget
-                ):
-                    # Dense beeps (typical right after the handoff): one
-                    # batched GEMM over the staged beep entries beats
-                    # expanding their neighbour lists.
-                    staged = self._flags32[: num_graphs * width]
-                    staged[:] = 0.0
-                    staged[padded_row[beep_rows], beep_cols] = 1.0
-                    if (
-                        self._counts32 is None
-                        or self._counts32.shape[0] < num_graphs * width
-                    ):
-                        self._counts32 = np.empty(
-                            (num_graphs * width, n), dtype=np.float32
-                        )
-                    counts = self._counts32[: num_graphs * width]
-                    np.matmul(
-                        staged.reshape(num_graphs, width, n),
-                        self._adjacency,
-                        out=counts.reshape(num_graphs, width, n),
-                    )
-                    entry_heard = (
-                        counts[padded_row[entry_rows], entry_cols] > 0.0
-                    )
-                else:
-                    # Sparse beeps: scatter the beeping entries' neighbour
-                    # lists, gather back at the active entries, then
-                    # un-scatter so the buffer stays all-False (cheaper
-                    # than a full clear for large n).
-                    rows, cols = self._expand(beep_rows, beep_cols, slot_base)
-                    if rows.size:
-                        heard_buffer[rows, cols] = True
-                    entry_heard = heard_buffer[entry_rows, entry_cols]
-                    if rows.size:
-                        heard_buffer[rows, cols] = False
-                if true_entries.size < entry_rows.size:
-                    true_entries = np.ones(entry_rows.size, dtype=bool)
-                entry_p = rule.update(
-                    entry_p,
-                    entry_heard,
-                    true_entries[: entry_rows.size],
-                    round_index,
-                )
-                entry_joined = entry_beep & ~entry_heard
-                joined_rows = entry_rows[entry_joined]
-                joined_cols = entry_cols[entry_joined]
-                membership[joined_rows, joined_cols] = True
-                rows, cols = self._expand(joined_rows, joined_cols, slot_base)
-                if rows.size:
-                    heard_buffer[rows, cols] = True
-                retired = entry_joined | heard_buffer[entry_rows, entry_cols]
-                if rows.size:
-                    heard_buffer[rows, cols] = False
-                keep = ~retired
-                entry_rows = entry_rows[keep]
-                entry_cols = entry_cols[keep]
-                entry_p = entry_p[keep]
-                surviving = np.zeros(total, dtype=bool)
-                surviving[entry_rows] = True
-                rounds[alive & ~surviving] = round_index + 1
-                alive = surviving
-                round_index += 1
-        # ---------------- assemble per-graph runs ----------------
+            round_index, frontier_cells = run_counter_frontier(
+                "armada", rule, seeds, active, probabilities,
+                np.arange(total), self._frontier_hit(sizes, slot_base),
+                rounds, membership, beeps, crashed, crash_masks,
+                round_index, self._max_rounds,
+            )
+            active_cells += frontier_cells
         if telemetry_on:
-            probes.count("engine.armada.runs")
+            emit_run_probes(
+                "armada", self._backend, total, n, round_index,
+                active_cells, churn,
+            )
             probes.count("engine.armada.graphs", num_graphs)
-            probes.count("engine.armada.trials", total)
-            probes.count("engine.armada.rounds", round_index)
             probes.count("engine.armada.dense_rounds", dense_rounds)
             probes.count(
                 "engine.armada.frontier_rounds", round_index - dense_rounds
             )
-            probes.count(f"engine.backend.{self._backend}")
-            if has_churn:
-                probes.count(
-                    "engine.churn.events",
-                    total * len(churn_schedule.events),
-                )
-                resolved = churn.repair[churn.repair >= 0]
-                if resolved.size:
-                    probes.gauge(
-                        "engine.repair.rounds", float(resolved.mean())
-                    )
-            if round_index and total and n:
-                probes.gauge(
-                    "engine.armada.active_fraction",
-                    active_cells / (round_index * total * n),
-                )
-        absent = churn.absent_mask() if has_churn else None
-        runs: List[FleetRun] = []
-        offset = 0
-        for g, size in enumerate(sizes):
-            block = slice(offset, offset + size)
-            run = FleetRun(
-                rule_name=rule.name,
-                num_vertices=n,
-                trials=size,
-                rounds=rounds[block].copy(),
-                membership=membership[block].copy(),
-                beeps_by_node=beeps[block].copy(),
-                crashed=(
-                    crashed[block].copy() if crash_masks else None
-                ),
-                absent=(
-                    absent[block].copy() if absent is not None else None
-                ),
-                repair_rounds=(
-                    churn.repair[block].copy() if has_churn else None
-                ),
-                recovered=(
-                    recovered[block].copy() if has_churn else None
-                ),
-            )
-            if validate:
-                for trial in range(size):
-                    if not run.trial_recovered(trial):
-                        continue
-                    verify_mis(
-                        self._graphs[g],
-                        run.mis_set(trial),
-                        crashed=run.crashed_set(trial),
-                        absent=run.absent_set(trial),
-                    )
-            runs.append(run)
-            offset += size
-        return runs
+        return fleet_runs(
+            rule, self._graphs, sizes, rounds, membership, beeps,
+            crashed=crashed if crash_masks else None,
+            churn=churn,
+            recovered=recovered,
+            validate=validate,
+        )

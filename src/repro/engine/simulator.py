@@ -254,8 +254,13 @@ class VectorizedSimulator:
     """Runs one :class:`ProbabilityRule` on one graph, many times if needed.
 
     The adjacency matrix is built once per simulator, so reuse the instance
-    across trials on the same graph.
+    across trials on the same graph.  :meth:`run` is the one per-trial
+    round loop: subclasses (:class:`~repro.engine.sparse.SparseSimulator`)
+    swap only the neighbour reduction, :meth:`_neighbor_counts`.
     """
+
+    #: Probe prefix (``engine.<kind>.*``) and error-message name.
+    _kind = "dense"
 
     def __init__(self, graph: Graph, max_rounds: int = DEFAULT_MAX_ROUNDS) -> None:
         if max_rounds < 1:
@@ -270,6 +275,16 @@ class VectorizedSimulator:
     def graph(self) -> Graph:
         """The simulated graph."""
         return self._graph
+
+    def _neighbor_counts(self, flags: np.ndarray) -> np.ndarray:
+        """For each vertex, how many neighbours have their flag set."""
+        # int32 vectors: a uint8 product would overflow beyond 255
+        # beeping neighbours.
+        return self._adjacency @ flags.astype(np.int32)
+
+    def _neighbor_or(self, flags: np.ndarray) -> np.ndarray:
+        """For each vertex, whether any neighbour's flag is set."""
+        return self._neighbor_counts(flags) > 0
 
     def run(
         self,
@@ -296,13 +311,17 @@ class VectorizedSimulator:
         check_rng_mode(rng_mode)
         churn_schedule = faults.churn_schedule
         has_churn = not churn_schedule.is_empty()
-        graph = self._graph
-        adjacency = self._adjacency
+        engine = self
         if has_churn:
-            # Churn runs are rare enough that rebuilding the adjacency on
+            # Churn runs are rare enough that rebuilding the operand on
             # the universe graph per run beats complicating __init__.
-            graph = churn_schedule.universe_graph(graph)
-            adjacency = graph.adjacency_matrix().astype(np.uint8)
+            engine = type(self)(
+                churn_schedule.universe_graph(self._graph),
+                max_rounds=self._max_rounds,
+            )
+        graph = engine._graph
+        neighbor_counts = engine._neighbor_counts
+        neighbor_or = engine._neighbor_or
         n = graph.num_vertices
         counter = rng_mode == "counter"
         rng = None if counter else np.random.default_rng(seed)
@@ -317,10 +336,6 @@ class VectorizedSimulator:
         last_event = churn.last_event_round if has_churn else -1
         active = churn.initial_active() if has_churn else np.ones(n, dtype=bool)
         initial_row = rule.initial(n) if has_churn else None
-
-        def neighbor_or(flags: np.ndarray) -> np.ndarray:
-            return (adjacency @ flags.astype(np.int32)) > 0
-
         recovered = True
         rounds = 0
         while active.any() or rounds <= last_event:
@@ -332,7 +347,8 @@ class VectorizedSimulator:
                     recovered = False
                     break
                 raise RuntimeError(
-                    f"vectorised simulation exceeded {self._max_rounds} rounds"
+                    f"{self._kind} simulation exceeded "
+                    f"{self._max_rounds} rounds"
                 )
             if has_churn and churn.apply_events(
                 rounds, active, in_mis, crashed, neighbor_or,
@@ -353,9 +369,7 @@ class VectorizedSimulator:
                 uniforms = rng.random(n)
             beep = active & (uniforms < probabilities)
             # Count of beeping neighbours, then the one-bit OR observation.
-            # int32 vectors: a uint8 product would overflow beyond 255
-            # beeping neighbours.
-            neighbor_beeps = adjacency @ beep.astype(np.int32)
+            neighbor_beeps = neighbor_counts(beep)
             heard_true = neighbor_beeps > 0
             if loss > 0.0 or spurious > 0.0:
                 if counter:
@@ -398,8 +412,8 @@ class VectorizedSimulator:
             tuple(int(r) for r in churn.repair) if has_churn else ()
         )
         if probes.enabled():
-            probes.count("engine.dense.runs")
-            probes.count("engine.dense.rounds", rounds)
+            probes.count(f"engine.{self._kind}.runs")
+            probes.count(f"engine.{self._kind}.rounds", rounds)
             if has_churn:
                 probes.count(
                     "engine.churn.events", len(churn_schedule.events)

@@ -9,7 +9,9 @@ family x every rule".  This conftest centralises that matrix:
   fleet engine counts once per backend: dense, sparse, bitboard);
 - ``conformance_graph`` parametrises over the graph families the engines
   must agree on (dense/sparse random, grid, geometric, star, isolated
-  vertices).
+  vertices);
+- :func:`armada_case` is the ragged three-graph armada cell the armada
+  conformance test runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable
 import pytest
 
 from repro.beeping.faults import FaultModel, NO_FAULTS
-from repro.beeping.rng import RNG_MODES
+from repro.beeping.rng import RNG_MODES, derive_seed_block
 from repro.engine.fleet import FleetSimulator
 from repro.engine.rules import (
     FeedbackRule,
@@ -80,6 +82,17 @@ def engine_run(
             rng_mode=rng_mode,
         ).trial_run(0)
     raise ValueError(f"unknown engine id {engine_id!r}")
+
+
+def armada_case(master_seed: int):
+    """Three ``G(22, 0.3)`` graphs and their ragged seed rows (5, 4, 3
+    trials), like a ``trial_range``-windowed cell."""
+    graphs = [gnp_random_graph(22, 0.3, Random(900 + g)) for g in range(3)]
+    seed_rows = [
+        derive_seed_block(master_seed, g, 1, count=5 - g, start=g)
+        for g in range(3)
+    ]
+    return graphs, seed_rows
 
 
 CONFORMANCE_GRAPHS = {

@@ -41,7 +41,12 @@ from repro.graphs.validation import (
     verify_mis,
 )
 
-from tests.engine.conftest import ENGINE_IDS, engine_run, make_rule
+from tests.engine.conftest import (
+    ENGINE_IDS,
+    armada_case,
+    engine_run,
+    make_rule,
+)
 
 RULE_NAMES = ("feedback", "afek-sweep", "afek-global")
 MASTER_SEED = 0xC04F
@@ -315,18 +320,11 @@ class TestArmadaConformance:
         ids=("fault-free", "crashes", "loss+spurious", "all-three"),
     )
     def test_armada_matches_per_graph_fleet(self, backend, fault_id, rule_name):
-        from repro.beeping.rng import derive_seed_block
         from repro.engine.fleet import ArmadaSimulator, FleetSimulator
 
         faults = NO_FAULTS if fault_id is None else FAULT_MODELS[fault_id]
-        graphs = [
-            gnp_random_graph(22, 0.3, Random(900 + g)) for g in range(3)
-        ]
         # Ragged groups, like a trial_range-windowed cell.
-        seed_rows = [
-            derive_seed_block(MASTER_SEED, g, 1, count=5 - g, start=g)
-            for g in range(3)
-        ]
+        graphs, seed_rows = armada_case(MASTER_SEED)
         armada = ArmadaSimulator(graphs, backend=backend)
         assert armada.backend == backend
         runs = armada.run_armada(
