@@ -13,17 +13,19 @@ implementing the same two-exchange round semantics:
     oracle the other engines are checked against.
 
 **Sparse** (:class:`SparseSimulator`)
-    The dense engine's round loop with the neighbour counts taken over a
-    CSR adjacency with ``add.reduceat`` (the only method it overrides); a
-    round costs O(n + m).  Wins on large sparse topologies (grids,
+    The dense engine's round loop with the neighbour reductions taken over
+    a CSR adjacency (``bitwise_or.reduceat`` for the OR, ``add.reduceat``
+    for the counts; the only methods it overrides); a round costs
+    O(n + m).  Wins on large sparse topologies (grids,
     geometric and sensor networks) where the dense engine's quadratic
     memory is waste — it comfortably reaches n = 50,000 at mean degree 8.
 
 **Fleet** (:class:`FleetSimulator`)
     All ``trials`` independent runs of one graph in lockstep as
     ``(trials, n)`` tensors: one batched float32 GEMM (dense backend),
-    one CSR ``reduceat`` pass (sparse backend), or one packed ``uint64``
-    AND/OR pass (bitboard backend, :class:`BitboardKernel`) per round
+    one trial-bit-sliced CSR ``bitwise_or.reduceat`` pass (sparse
+    backend, :func:`~repro.engine.sparse.csr_row_or`), or one packed
+    ``uint64`` AND/OR pass (bitboard backend, :class:`BitboardKernel`) per round
     serves the whole batch, and finished trials drop out through an
     alive-mask (the bitboard backend compacts them away entirely).  Wins
     whenever many trials of one graph are needed — i.e. every figure

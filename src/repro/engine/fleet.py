@@ -9,7 +9,9 @@ time —
 
 - ``beep = active & (U < P)`` with one fresh uniform row per live trial;
 - ``heard``: one batched matmul against the adjacency (dense backend) or
-  one ``add.reduceat`` pass over the CSR neighbour lists (sparse backend);
+  one ``bitwise_or.reduceat`` pass over the CSR neighbour lists with up to
+  64 trials packed into each word (sparse backend,
+  :func:`~repro.engine.sparse.csr_row_or`);
 - per-trial early exit through an alive-mask: finished trials drop out of
   the random drawing and the matmul, and their round counts freeze.
 
@@ -90,7 +92,7 @@ from repro.engine.simulator import (
     check_rng_mode,
     faulty_observation,
 )
-from repro.engine.sparse import build_csr, csr_row_counts
+from repro.engine.sparse import build_csr, csr_row_counts, csr_row_or
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis
 from repro.telemetry import probes
@@ -396,8 +398,11 @@ class FleetSimulator:
 
     - ``"dense"``: ``(trials, n) @ (n, n)`` float32 GEMM.  Exact (counts are
       small integers) and BLAS-fast; memory is the n x n adjacency.
-    - ``"sparse"``: gather + ``add.reduceat`` over CSR neighbour lists,
-      O(trials * (n + m)) per round; the large-sparse-graph path.
+    - ``"sparse"``: trials bit-packed into words, then gather +
+      ``bitwise_or.reduceat`` over CSR neighbour lists
+      (:func:`~repro.engine.sparse.csr_row_or`; counts under beep loss use
+      ``add.reduceat``), O(ceil(trials / 64) * (n + m)) per round; the
+      large-sparse-graph path.
     - ``"bitboard"``: flags and adjacency rows packed into ``uint64``
       lanes; the OR is bitwise AND/OR over the packed rows and counts
       come from ``popcount`` (:mod:`repro.engine.bitboard`).  Runs its
@@ -471,7 +476,7 @@ class FleetSimulator:
             # skips _neighbor_counts's int64 conversion.
             counts = self._as_float32(flags) @ self._adjacency
             return counts > 0.0
-        return self._neighbor_counts(flags) > 0
+        return csr_row_or(flags, self._columns, self._starts, self._isolated)
 
     def _scattered_neighbor_or(
         self, flags: np.ndarray, live: np.ndarray
@@ -762,8 +767,10 @@ class ArmadaSimulator:
     - **Dense phase** (early rounds, most vertices active): the
       one-bit OR observation is one *batched* float32 GEMM against the
       ``(graphs, n, n)`` adjacency stack (``"dense"`` backend), a
-      per-graph CSR ``add.reduceat`` pass (``"sparse"`` backend), or a
-      per-graph packed AND/OR over ``uint64`` bitboard rows
+      per-graph CSR ``bitwise_or.reduceat`` pass over trial-bit-packed
+      words (``"sparse"`` backend,
+      :func:`~repro.engine.sparse.csr_row_or`), or a per-graph packed
+      AND/OR over ``uint64`` bitboard rows
       (``"bitboard"`` backend) — exact in all cases.
     - **Frontier phase** (fault-free runs, once the live fraction is
       small): :func:`run_counter_frontier`, the tail the bitboard fleet
@@ -980,57 +987,51 @@ class ArmadaSimulator:
         sizes: Sequence[int],
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Fault-free neighbour-OR over all slot rows, both backends."""
+        """Fault-free neighbour-OR over all slot rows, every backend."""
         num_graphs, n = len(self._graphs), self._n
         rows = flags.shape[0]
         if n == 0:
             return np.zeros((rows, 0), dtype=bool)
-        if self._backend == "bitboard":
-            if out is None:
-                out = np.empty((rows, n), dtype=bool)
+        if out is None:
+            out = np.empty((rows, n), dtype=bool)
+        if self._backend != "dense":
             offset = 0
             for g, size in enumerate(sizes):
-                out[offset:offset + size] = self._kernels[g].neighbor_or(
-                    flags[offset:offset + size]
-                )
+                block = slice(offset, offset + size)
+                if self._backend == "bitboard":
+                    out[block] = self._kernels[g].neighbor_or(flags[block])
+                else:
+                    out[block] = csr_row_or(flags[block], *self._per_csr[g])
                 offset += size
             return out
-        if self._backend == "dense":
-            staged, equal = self._stage_f32(flags, sizes)
-            width = max(sizes)
-            if (
-                self._counts32 is None
-                or self._counts32.shape[0] < num_graphs * width
-            ):
-                self._counts32 = np.empty(
-                    (num_graphs * width, n), dtype=np.float32
-                )
-            counts = self._counts32[: num_graphs * width].reshape(
-                num_graphs, width, n
+        staged, equal = self._stage_f32(flags, sizes)
+        width = max(sizes)
+        if (
+            self._counts32 is None
+            or self._counts32.shape[0] < num_graphs * width
+        ):
+            self._counts32 = np.empty(
+                (num_graphs * width, n), dtype=np.float32
             )
-            np.matmul(staged, self._adjacency, out=counts)
-            if out is None:
-                out = np.empty((rows, n), dtype=bool)
-            if equal:
-                np.greater(
-                    counts.reshape(num_graphs * width, n)[:rows], 0.0, out=out
-                )
-                return out
-            offset = 0
-            for g, size in enumerate(sizes):
-                np.greater(counts[g, :size], 0.0, out=out[offset:offset + size])
-                offset += size
+        counts = self._counts32[: num_graphs * width].reshape(
+            num_graphs, width, n
+        )
+        np.matmul(staged, self._adjacency, out=counts)
+        if equal:
+            np.greater(
+                counts.reshape(num_graphs * width, n)[:rows], 0.0, out=out
+            )
             return out
-        result = self._group_counts(flags, None, sizes) > 0
-        if out is not None:
-            np.copyto(out, result)
-            return out
-        return result
+        offset = 0
+        for g, size in enumerate(sizes):
+            np.greater(counts[g, :size], 0.0, out=out[offset:offset + size])
+            offset += size
+        return out
 
-    def _group_counts(self, flags: np.ndarray, alive: Optional[np.ndarray],
+    def _group_counts(self, flags: np.ndarray, alive: np.ndarray,
                       sizes: Sequence[int]) -> np.ndarray:
-        """Per-vertex beeping-neighbour counts, per-graph, optionally
-        restricted to alive slot rows (dead rows stay zero)."""
+        """Per-vertex beeping-neighbour counts, per-graph, restricted to
+        alive slot rows (dead rows stay zero)."""
         n = self._n
         rows = flags.shape[0]
         counts = np.zeros((rows, n), dtype=np.int64)
@@ -1038,16 +1039,11 @@ class ArmadaSimulator:
             return counts
         offset = 0
         for g, size in enumerate(sizes):
-            block = slice(offset, offset + size)
-            if alive is not None:
-                selected = np.flatnonzero(alive[block]) + offset
-                if selected.size == 0:
-                    offset += size
-                    continue
-                sub = flags[selected]
-            else:
-                selected = None
-                sub = flags[block]
+            selected = np.flatnonzero(alive[offset:offset + size]) + offset
+            offset += size
+            if selected.size == 0:
+                continue
+            sub = flags[selected]
             if self._backend == "dense":
                 # float32 GEMM counts are exact small integers; stage the
                 # flags through the reused buffer, not a fresh astype.
@@ -1066,11 +1062,7 @@ class ArmadaSimulator:
             else:
                 columns, starts, isolated = self._per_csr[g]
                 block_counts = csr_row_counts(sub, columns, starts, isolated)
-            if selected is None:
-                counts[block] = block_counts
-            else:
-                counts[selected] = block_counts
-            offset += size
+            counts[selected] = block_counts
         return counts
 
     def run_armada(

@@ -86,7 +86,7 @@ from repro.beeping.rng import (
 )
 from repro.engine.fleet import DENSE_VERTEX_LIMIT
 from repro.engine.simulator import DEFAULT_MAX_ROUNDS
-from repro.engine.sparse import build_csr, csr_row_counts
+from repro.engine.sparse import build_csr, csr_row_counts, csr_row_or
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis
 from repro.telemetry import probes
@@ -358,7 +358,9 @@ class _MessageKernel:
 
     def neighbor_or(self, flags: np.ndarray) -> np.ndarray:
         """Row-wise: whether any neighbour's flag is set, per vertex."""
-        return self.counts(flags) > 0
+        if self._backend == "dense":
+            return self.counts(flags) > 0
+        return csr_row_or(flags, self._columns, self._starts, self._isolated)
 
     def masked_min(self, keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Per vertex: the minimum key among masked neighbours.

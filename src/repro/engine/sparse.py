@@ -4,10 +4,12 @@ The dense engine stores an n×n adjacency matrix — perfect for the paper's
 ``G(n, 1/2)`` workloads, quadratic waste for sparse topologies (grids,
 geometric/sensor networks, scale-free graphs).  This engine keeps the
 adjacency in compressed-sparse-row form and computes the one-bit OR
-observation with ``numpy.add.reduceat`` over the neighbour lists, so a
-round costs O(n + m) with small constants.  :class:`SparseSimulator`
-runs the dense engine's round loop unchanged — it overrides only the
-neighbour count — so the two cannot drift apart.
+observation with ``numpy.bitwise_or.reduceat`` over the neighbour lists
+(:func:`csr_row_or`; the beep-loss counts use ``numpy.add.reduceat``,
+:func:`csr_row_counts`), so a round costs O(n + m) with small constants.
+:class:`SparseSimulator` runs the dense engine's round loop unchanged — it
+overrides only the two neighbour reductions — so the two cannot drift
+apart.
 
 With mean degree ~8 this comfortably simulates n = 50,000 node networks —
 letting the scaling benchmark extend Theorem 2's O(log n) curve well past
@@ -71,9 +73,63 @@ def csr_row_counts(
     return counts.astype(np.int64)
 
 
+#: Rows packed per word: one bit per row of ``flags``.
+_WORD_BITS = 64
+
+
+def csr_row_or(
+    flags: np.ndarray,
+    columns: np.ndarray,
+    starts: np.ndarray,
+    isolated: np.ndarray,
+) -> np.ndarray:
+    """Row-wise flagged-neighbour OR over one CSR, for 2-D flags.
+
+    Equal to ``csr_row_counts(...) > 0``, bit for bit, but slices the rows
+    into bits: each vertex's flags for up to 64 rows are packed into the
+    narrowest unsigned word that holds them, so one 1-D gather over
+    ``columns`` and one ``np.bitwise_or.reduceat`` over ``starts`` serve
+    all those rows at once.  Same pad/clamp discipline as
+    :func:`csr_row_counts`.  ``flags`` is ``(rows, n)`` boolean; returns
+    ``(rows, n)`` boolean.
+    """
+    k, n = flags.shape
+    if columns.size == 0 or k == 0:
+        return np.zeros((k, n), dtype=bool)
+    if k > _WORD_BITS:
+        return np.concatenate([
+            csr_row_or(flags[r:r + _WORD_BITS], columns, starts, isolated)
+            for r in range(0, k, _WORD_BITS)
+        ])
+    used = (k + 7) // 8
+    width = 1 << (used - 1).bit_length()  # bytes per word: 1, 2, 4 or 8
+    if k == 1:
+        # A bool byte (0 or 1) already is its own one-bit word.
+        words = flags[0].astype(bool, copy=False).view(np.uint8)
+    else:
+        # (n, width) bytes, row r of flags in bit r % 8 of byte r // 8.
+        packed = np.zeros((n, width), dtype=np.uint8)
+        packed[:, :used] = np.packbits(flags, axis=0, bitorder="little").T
+        words = packed.view(f"u{width}").ravel()
+    # One trailing zero word keeps every (unclamped) start in range.
+    gathered = np.empty(columns.size + 1, dtype=words.dtype)
+    np.take(words, columns, out=gathered[:-1])
+    gathered[-1] = 0
+    reduced = np.bitwise_or.reduceat(gathered, starts)
+    # Empty segments (isolated vertices) yield garbage words; zero them.
+    reduced[isolated] = 0
+    return np.unpackbits(
+        reduced.view(np.uint8).reshape(n, width).T,
+        axis=0,
+        count=k,
+        bitorder="little",
+    ).view(bool)
+
+
 class SparseSimulator(VectorizedSimulator):
     """CSR-based simulator: :class:`VectorizedSimulator`'s round loop with
-    the neighbour counts taken by :func:`csr_row_counts`."""
+    the neighbour counts taken by :func:`csr_row_counts` and the OR by
+    :func:`csr_row_or`."""
 
     _kind = "sparse"
 
@@ -87,5 +143,11 @@ class SparseSimulator(VectorizedSimulator):
     def _neighbor_counts(self, flags: np.ndarray) -> np.ndarray:
         """For each vertex, how many neighbours have their flag set."""
         return csr_row_counts(
+            flags[np.newaxis], self._columns, self._starts, self._isolated
+        )[0]
+
+    def _neighbor_or(self, flags: np.ndarray) -> np.ndarray:
+        """For each vertex, whether any neighbour has its flag set."""
+        return csr_row_or(
             flags[np.newaxis], self._columns, self._starts, self._isolated
         )[0]

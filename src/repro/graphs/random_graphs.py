@@ -26,12 +26,80 @@ def _require_probability(p: float) -> None:
         raise ValueError(f"probability must be in [0, 1], got {p}")
 
 
+#: Relative distance to an integer within which a numpy ``log`` quotient
+#: is recomputed with ``math.log``: numpy's SIMD ``log`` may differ from
+#: libm's in the last ulp, which moves a truncation only when the quotient
+#: sits that close to an integer.  1e-9 is millions of ulps of margin.
+_NEAR_INTEGER = 1e-9
+
+
+def _uniforms(rng: Random, count: int) -> np.ndarray:
+    """The next ``count`` values of ``rng.random()``, drawn in one call.
+
+    CPython's ``Random.random()`` reads two 32-bit Mersenne Twister words
+    ``a, b`` and returns ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``;
+    ``getrandbits(64 * count)`` returns the next ``2 * count`` words,
+    least-significant first.  Decoding them gives the same floats, and
+    leaves ``rng`` in the same state, as ``count`` scalar calls.
+    """
+    if count == 0:
+        return np.zeros(0)
+    words = np.frombuffer(
+        rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
+        dtype="<u4",
+    ).astype(np.uint64)
+    mantissa = (words[0::2] >> np.uint64(5)) * np.uint64(1 << 26) + (
+        words[1::2] >> np.uint64(6)
+    )
+    return mantissa.astype(np.float64) * (1.0 / (1 << 53))
+
+
+def _geometric_skips(
+    rng: Random, count: int, log_q: float, cap: int
+) -> np.ndarray:
+    """``int(log(1 - rng.random()) / log_q)`` for the next ``count`` draws:
+    the scalar loop's skips, bit for bit.  Each is clipped to ``cap`` (a
+    skip that long passes the last pair anyway), so the summed int64
+    positions stay far from overflow even when ``p`` is tiny."""
+    r = _uniforms(rng, count)
+    quotients = np.log(1.0 - r) / log_q
+    near = np.flatnonzero(
+        np.abs(quotients - np.rint(quotients)) <= _NEAR_INTEGER * quotients
+    )
+    for i in near.tolist():
+        quotients[i] = math.log(1.0 - float(r[i])) / log_q
+    return np.minimum(np.trunc(quotients), cap).astype(np.int64)
+
+
+def _triangular_pairs(positions: np.ndarray) -> np.ndarray:
+    """Map pair indices ``v * (v - 1) / 2 + w`` (``w < v``) to ``(w, v)``."""
+    v = ((1.0 + np.sqrt(8.0 * positions + 1.0)) / 2.0).astype(np.int64)
+    # Integer correction of the float root (one step either way suffices
+    # while 8 * position fits a double's mantissa; loop to be exact).
+    while True:
+        low = v * (v - 1) // 2 > positions
+        high = v * (v + 1) // 2 <= positions
+        if not (low.any() or high.any()):
+            break
+        v = v - low + high
+    return np.stack((positions - v * (v - 1) // 2, v), axis=1)
+
+
 def gnp_random_graph(n: int, p: float, rng: Random) -> Graph:
     """An Erdős–Rényi graph ``G(n, p)``: each edge present independently.
 
     Uses the geometric-skipping method of Batagelj and Brandes, so the
     running time is O(n + m) rather than O(n^2) for sparse graphs, while
     remaining exactly distributed as G(n, p).
+
+    The pairs ``(w, v)``, ``w < v``, are enumerated in order of ``v`` then
+    ``w``; each draw ``r = rng.random()`` skips
+    ``int(log(1 - r) / log(1 - p))`` pairs and selects the next one, until
+    the position passes the last pair.  The draws are taken in bulk
+    chunks (:func:`_uniforms`) and the skips summed with numpy; the edge
+    set and the generator's final state equal those of the
+    one-draw-at-a-time loop, so ``rng`` must be a :class:`random.Random`
+    (Mersenne Twister) with ``getstate``.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -44,22 +112,32 @@ def gnp_random_graph(n: int, p: float, rng: Random) -> Graph:
     if log_q == 0.0:
         # p is below float resolution (log1p(-p) rounds to 0): no edges.
         return Graph(n)
-    lows: List[int] = []
-    highs: List[int] = []
-    # Hot loop: bound methods hoisted into locals (same draws, same order).
-    random, log = rng.random, math.log
-    add_low, add_high = lows.append, highs.append
-    v = 1
-    w = -1
-    while v < n:
-        w += 1 + int(log(1.0 - random()) / log_q)
-        while w >= v and v < n:
-            w -= v
-            v += 1
-        if v < n:
-            add_low(w)
-            add_high(v)
-    return Graph(n, np.array((lows, highs), dtype=np.int64).T)
+    pairs = n * (n - 1) // 2
+    saved = rng.getstate()
+    chunks: List[np.ndarray] = []
+    consumed = 0
+    last = -1
+    while True:
+        # Draws still needed are Binomial(remaining, p) + 1: take the
+        # mean plus eight standard deviations, so one chunk nearly always
+        # reaches the end.
+        remaining = pairs - 1 - last
+        mean = remaining * p
+        count = int(mean + 8.0 * math.sqrt(mean * (1.0 - p))) + 2
+        skips = _geometric_skips(rng, count, log_q, pairs)
+        positions = last + np.cumsum(skips + 1)
+        end = int(np.searchsorted(positions, pairs))
+        chunks.append(positions[:end])
+        if end < positions.size:
+            consumed += end + 1
+            break
+        consumed += positions.size
+        last = int(positions[-1])
+    # Rewind and replay exactly the consumed words, so rng ends where the
+    # one-draw-at-a-time loop leaves it.
+    rng.setstate(saved)
+    rng.getrandbits(64 * consumed)
+    return Graph(n, _triangular_pairs(np.concatenate(chunks)))
 
 
 def gnm_random_graph(n: int, m: int, rng: Random) -> Graph:
@@ -88,13 +166,10 @@ def random_bipartite_graph(
     if left < 0 or right < 0:
         raise ValueError("part sizes must be >= 0")
     _require_probability(p)
-    edges = [
-        (u, left + v)
-        for u in range(left)
-        for v in range(right)
-        if rng.random() < p
-    ]
-    return Graph(left + right, edges)
+    # One draw per cross pair, u-major, as a scalar loop would take them.
+    hit = (_uniforms(rng, left * right) < p).reshape(left, right)
+    u, v = np.nonzero(hit)
+    return Graph(left + right, np.stack((u, left + v), axis=1))
 
 
 def random_geometric_graph(
@@ -261,14 +336,13 @@ def planted_independent_set_graph(
             f"planted_size must be in [0, {n}], got {planted_size}"
         )
     _require_probability(p)
-    builder = GraphBuilder(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if v < planted_size:
-                continue
-            if rng.random() < p:
-                builder.add_edge(u, v)
-    graph = builder.build()
+    # One draw per pair (u, v), u < v, in row-major order, skipping the
+    # pairs inside the planted set.
+    u, v = np.triu_indices(n, 1)
+    eligible = v >= planted_size
+    u, v = u[eligible], v[eligible]
+    hit = _uniforms(rng, u.size) < p
+    graph = Graph(n, np.stack((u[hit], v[hit]), axis=1))
     if return_planted:
         return graph, list(range(planted_size))
     return graph

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from repro.engine.rules import FeedbackRule, SweepRule
 from repro.engine.simulator import VectorizedSimulator
-from repro.engine.sparse import SparseSimulator
+from repro.engine.sparse import (
+    SparseSimulator,
+    build_csr,
+    csr_row_counts,
+    csr_row_or,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph, random_geometric_graph
 from repro.graphs.structured import empty_graph, grid_graph, star_graph
@@ -90,6 +95,46 @@ class TestExactEquivalenceWithDense:
         dense = VectorizedSimulator(graph).run(FeedbackRule(), 11)
         sparse = SparseSimulator(graph).run(FeedbackRule(), 11)
         assert dense.mis == sparse.mis
+
+
+class TestCsrRowOr:
+    """``csr_row_or`` is ``csr_row_counts(...) > 0``, bit for bit, at every
+    row count around its word and block boundaries."""
+
+    GRAPHS = {
+        "gnp": lambda: gnp_random_graph(40, 0.15, Random(3)),
+        # Isolated vertices 0, 3 and 5 inside the index range.
+        "isolated": lambda: Graph(8, [(1, 2), (2, 4), (4, 6), (6, 7), (1, 7)]),
+        # The unclamped-starts case: a trailing isolated run whose starts
+        # equal columns.size, after a last segment with a high neighbour.
+        "trailing": lambda: Graph(7, [(2, 0), (2, 1), (0, 1)]),
+        "no_edges": lambda: empty_graph(6),
+        "empty": lambda: empty_graph(0),
+    }
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_matches_counts(self, name, rows):
+        graph = self.GRAPHS[name]()
+        csr = build_csr(graph)
+        flags = np.random.default_rng(rows).random(
+            (rows, graph.num_vertices)
+        ) < 0.3
+        result = csr_row_or(flags, *csr)
+        assert result.dtype == bool
+        assert result.shape == flags.shape
+        assert np.array_equal(result, csr_row_counts(flags, *csr) > 0)
+
+    def test_trailing_run_keeps_last_segment(self):
+        # Only vertex 1 beeps: vertex 2 (the last non-empty segment) must
+        # hear it in every packed row, the trailing run must not.
+        columns, starts, isolated = build_csr(Graph(6, [(2, 0), (2, 1)]))
+        assert starts[-1] == columns.size
+        flags = np.zeros((9, 6), dtype=bool)
+        flags[:, 1] = True
+        heard = csr_row_or(flags, columns, starts, isolated)
+        assert heard[:, 2].all()
+        assert not heard[:, 3:].any()
 
 
 class TestScale:

@@ -8,7 +8,9 @@ cells included) construct, plus the structured families, so a change to
 ``Graph`` or to a generator that alters any edge set fails here first,
 with the generator named, instead of as a golden drift far downstream.
 
-The hashes were taken from the code before ``Graph`` stored CSR arrays.
+The hashes were taken from the code before ``Graph`` stored CSR arrays;
+the per-pair families' (``PER_PAIR_PINS``) from their scalar
+``rng.random() < p`` loops, before those drew their uniforms in bulk.
 A mismatch is a behaviour change, never a reason to re-pin.
 
 Seeded entries give the master seed and derivation path passed to
@@ -19,12 +21,17 @@ path ``(g, 0)`` (see :func:`repro.experiments.runner.run_fleet_trials`).
 from __future__ import annotations
 
 import hashlib
+from random import Random
 
 import pytest
 
 from repro.beeping.rng import spawn_rng
 from repro.graphs.cliques import disjoint_cliques, theorem1_family
-from repro.graphs.random_graphs import gnp_random_graph
+from repro.graphs.random_graphs import (
+    gnp_random_graph,
+    planted_independent_set_graph,
+    random_bipartite_graph,
+)
 from repro.graphs.structured import (
     complete_bipartite_graph,
     complete_graph,
@@ -164,6 +171,54 @@ STRUCTURED_PINS = {
     ),
 }
 
+#: Per-pair random families: (name, builder) -> edge-list hash.
+PER_PAIR_PINS = {
+    "random_bipartite_graph(8, 12, 0.7, Random(2))": (
+        lambda: random_bipartite_graph(8, 12, 0.7, Random(2)),
+        "bc0c878b5196f05c4aaf5e51e592a8de322bc24c45cd61e577e0a32b08a9460a",
+    ),
+    "random_bipartite_graph(3, 4, 1.0, Random(1))": (
+        lambda: random_bipartite_graph(3, 4, 1.0, Random(1)),
+        "2279223b0a510fd19742f2800f35bfac6067d07236bd24759b7a736c70113c42",
+    ),
+    "random_bipartite_graph(30, 50, 0.1, Random(5))": (
+        lambda: random_bipartite_graph(30, 50, 0.1, Random(5)),
+        "0abb82d98e1f6d24ba8650f826f068bd055c508754641ed51f9c114dbf5ba36f",
+    ),
+    "random_bipartite_graph(0, 7, 0.5, Random(1))": (
+        lambda: random_bipartite_graph(0, 7, 0.5, Random(1)),
+        "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
+    ),
+    "random_bipartite_graph(40, 25, 0.5, Random(17))": (
+        lambda: random_bipartite_graph(40, 25, 0.5, Random(17)),
+        "507fc68a285a605433fbe4fed07a376b39a2318faff9a0fb37c4bf7c3e9814cd",
+    ),
+    "planted_independent_set_graph(24, 9, 0.7, Random(1))": (
+        lambda: planted_independent_set_graph(24, 9, 0.7, Random(1)),
+        "0d7776793ffb76d6f731bc63565b4294fbe6d5b7ab6eac822aba5c0b1168ed5b",
+    ),
+    "planted_independent_set_graph(10, 4, 0.5, Random(3))": (
+        lambda: planted_independent_set_graph(10, 4, 0.5, Random(3)),
+        "0ab3e4d228b8dc9255b2ed10c254fa6825308cb03162ebee34be06b562c419b9",
+    ),
+    "planted_independent_set_graph(60, 15, 0.2, Random(8))": (
+        lambda: planted_independent_set_graph(60, 15, 0.2, Random(8)),
+        "167f35586f5f160aa0c7ae655ec79403d756386eba7649aa23ac2bb4a3549dfb",
+    ),
+    "planted_independent_set_graph(30, 0, 0.5, Random(4))": (
+        lambda: planted_independent_set_graph(30, 0, 0.5, Random(4)),
+        "892e86d139da0f203cc3f2f2771311849b166c2dd6399f01d0e4bae039eba20e",
+    ),
+    "planted_independent_set_graph(12, 12, 0.5, Random(6))": (
+        lambda: planted_independent_set_graph(12, 12, 0.5, Random(6)),
+        "6b51d431df5d7f141cbececcf79edf3dd861c3b4069f0b11661a3eefacbba918",
+    ),
+    "planted_independent_set_graph(80, 79, 0.9, Random(9))": (
+        lambda: planted_independent_set_graph(80, 79, 0.9, Random(9)),
+        "0a3c2f525fd3c15ccfc7bdd03b3116c6d196dcb2e47511d5411edaeaa914ebdd",
+    ),
+}
+
 
 @pytest.mark.parametrize(
     "n, p, master_seed, path", sorted(GNP_PINS, key=repr), ids=repr
@@ -176,4 +231,10 @@ def test_gnp_edge_sets_are_pinned(n, p, master_seed, path):
 @pytest.mark.parametrize("name", sorted(STRUCTURED_PINS))
 def test_structured_edge_sets_are_pinned(name):
     build, expected = STRUCTURED_PINS[name]
+    assert edge_list_hash(build()) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PER_PAIR_PINS))
+def test_per_pair_edge_sets_are_pinned(name):
+    build, expected = PER_PAIR_PINS[name]
     assert edge_list_hash(build()) == expected
